@@ -300,13 +300,20 @@ Server::streamJob(LineChannel &ch, int id)
         Json result;
         {
             std::unique_lock<std::mutex> l(mu_);
-            cv_.wait_for(l, std::chrono::milliseconds(200));
             auto &ev = events_[id];
+            JobRecord *j = nullptr;
+            bool settled = false;
+            // Check before sleeping: events pushed (or the job settled)
+            // while the last batch was being written must not wait for
+            // the next notification.
+            cv_.wait(l, [&] {
+                j = queue_.find(id);
+                settled = j && j->state != JobState::Queued &&
+                    j->state != JobState::Running;
+                return next < ev.size() || settled || stopping_;
+            });
             while (next < ev.size())
                 batch.push_back(ev[next++]);
-            JobRecord *j = queue_.find(id);
-            bool settled = j && j->state != JobState::Queued &&
-                j->state != JobState::Running;
             if (settled && next >= ev.size()) {
                 terminal = true;
                 result = makeResponse("result");

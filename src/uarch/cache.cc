@@ -1,5 +1,8 @@
 #include "uarch/cache.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "support/logging.hh"
 
 namespace rigor {
@@ -12,55 +15,31 @@ Cache::Cache(CacheGeometry geometry)
         panic("Cache: line size must be a power of two");
     if (geom.ways == 0)
         panic("Cache: need at least one way");
-    setCount = geom.numSets();
-    if (setCount == 0 || (setCount & (setCount - 1)))
+    if (geom.ways > UINT8_MAX)
+        panic("Cache: at most 255 ways (got %u)", geom.ways);
+    uint32_t sets = geom.numSets();
+    if (sets == 0 || (sets & (sets - 1)))
         panic("Cache: set count must be a power of two (size %u)",
               geom.sizeBytes);
-    lines.resize(static_cast<size_t>(setCount) * geom.ways);
-}
-
-bool
-Cache::access(uint64_t addr)
-{
-    ++accessCount;
-    uint64_t line_addr = addr / geom.lineBytes;
-    uint32_t set = static_cast<uint32_t>(line_addr & (setCount - 1));
-    uint64_t tag = line_addr >> 1;  // keep overlap with set bits; fine
-
-    Line *base = &lines[static_cast<size_t>(set) * geom.ways];
-    Line *victim = base;
-    for (uint32_t w = 0; w < geom.ways; ++w) {
-        Line &l = base[w];
-        if (l.valid && l.tag == tag) {
-            l.lru = ++lruClock;
-            return true;
-        }
-        if (!l.valid) {
-            victim = &l;
-        } else if (victim->valid && l.lru < victim->lru) {
-            victim = &l;
-        }
-    }
-    ++missCount;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lru = ++lruClock;
-    return false;
+    setMask = sets - 1;
+    lineShift = static_cast<uint32_t>(std::countr_zero(geom.lineBytes));
+    tags = std::make_unique_for_overwrite<uint64_t[]>(
+        static_cast<size_t>(sets) * geom.ways);
+    validWays.assign(sets, 0);
 }
 
 void
 Cache::reset()
 {
-    for (auto &l : lines)
-        l = {};
-    lruClock = 0;
+    std::fill(validWays.begin(), validWays.end(), 0);
     accessCount = 0;
     missCount = 0;
 }
 
 CacheHierarchy::CacheHierarchy(CacheGeometry l1, CacheGeometry l2,
-                               CacheGeometry llc, MemoryLatencies lat_)
-    : l1Cache(l1), l2Cache(l2), llcCache(llc), lat(lat_)
+                               CacheGeometry llc, MemoryLatencies lat)
+    : l1Cache(l1), l2Cache(l2), llcCache(llc),
+      levelLatency{0, lat.l2Hit, lat.llcHit, lat.dram}
 {}
 
 CacheHierarchy
@@ -70,18 +49,6 @@ CacheHierarchy::makeDefault()
     CacheGeometry l2{256 * 1024, 64, 8};
     CacheGeometry llc{8 * 1024 * 1024, 64, 16};
     return CacheHierarchy(l1, l2, llc);
-}
-
-uint32_t
-CacheHierarchy::access(uint64_t addr)
-{
-    if (l1Cache.access(addr))
-        return 0;
-    if (l2Cache.access(addr))
-        return lat.l2Hit;
-    if (llcCache.access(addr))
-        return lat.llcHit;
-    return lat.dram;
 }
 
 void

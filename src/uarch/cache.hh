@@ -8,6 +8,7 @@
 #define RIGOR_UARCH_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace rigor {
@@ -27,7 +28,16 @@ struct CacheGeometry
     }
 };
 
-/** One cache level; LRU replacement, write-allocate. */
+/**
+ * One cache level; true-LRU replacement, write-allocate.
+ *
+ * Each set is a packed row of `ways` tags kept in recency order, most
+ * recently used first, plus a count of the valid ways at its front. A
+ * hit moves its tag to the front; a miss inserts at the front and, when
+ * the set is full, drops the last (least recently used) tag. Ways only
+ * become invalid on reset(), so filling the front before evicting is
+ * the same choice as "invalid way first, else the LRU way".
+ */
 class Cache
 {
   public:
@@ -39,7 +49,7 @@ class Cache
      */
     bool access(uint64_t addr);
 
-    /** Drop all cached lines. */
+    /** Drop all cached lines. O(sets): the tag rows are not touched. */
     void reset();
 
     uint64_t accesses() const { return accessCount; }
@@ -47,20 +57,49 @@ class Cache
     const CacheGeometry &geometry() const { return geom; }
 
   private:
-    struct Line
-    {
-        uint64_t tag = 0;
-        uint64_t lru = 0;
-        bool valid = false;
-    };
-
     CacheGeometry geom;
-    std::vector<Line> lines;   ///< sets * ways, row-major by set
-    uint32_t setCount;
-    uint64_t lruClock = 0;
+    uint32_t setMask;
+    uint32_t lineShift;
+    /**
+     * sets * ways tags, row-major by set, MRU first. Only the first
+     * validWays[set] slots of a row are ever read, and each is written
+     * before that, so the rows are left uninitialised: a model whose
+     * large levels see few distinct lines never touches most of them.
+     */
+    std::unique_ptr<uint64_t[]> tags;
+    std::vector<uint8_t> validWays;   ///< valid (front) ways per set
     uint64_t accessCount = 0;
     uint64_t missCount = 0;
 };
+
+inline bool
+Cache::access(uint64_t addr)
+{
+    ++accessCount;
+    // The whole line address is the tag. Within a set, any tag that
+    // tells lines apart behaves the same.
+    uint64_t tag = addr >> lineShift;
+    uint32_t set = static_cast<uint32_t>(tag) & setMask;
+    uint64_t *row = &tags[static_cast<size_t>(set) * geom.ways];
+    uint32_t valid = validWays[set];
+    for (uint32_t w = 0; w < valid; ++w) {
+        if (row[w] == tag) {
+            for (; w > 0; --w)
+                row[w] = row[w - 1];
+            row[0] = tag;
+            return true;
+        }
+    }
+    ++missCount;
+    if (valid < geom.ways)
+        validWays[set] = static_cast<uint8_t>(valid + 1);
+    else
+        valid = geom.ways - 1;   // the LRU tag falls off the end
+    for (uint32_t w = valid; w > 0; --w)
+        row[w] = row[w - 1];
+    row[0] = tag;
+    return false;
+}
 
 /** Latencies (cycles) of the memory hierarchy. */
 struct MemoryLatencies
@@ -72,12 +111,15 @@ struct MemoryLatencies
 };
 
 /**
- * Three-level data-cache hierarchy. access() walks the levels and
- * returns the modelled latency of the access.
+ * Three-level data-cache hierarchy. accessLevel() walks the levels and
+ * returns the one that served the access; latency() prices it.
  */
 class CacheHierarchy
 {
   public:
+    /** Level that served an access: L1, L2, LLC, or memory. */
+    enum Level : unsigned { L1 = 0, L2 = 1, Llc = 2, Dram = 3 };
+
     CacheHierarchy(CacheGeometry l1, CacheGeometry l2,
                    CacheGeometry llc, MemoryLatencies lat = {});
 
@@ -85,10 +127,28 @@ class CacheHierarchy
     static CacheHierarchy makeDefault();
 
     /**
-     * Perform one access.
-     * @return modelled latency in cycles beyond the L1-hit cost.
+     * Perform one access. A level is consulted (and counted) only when
+     * every level above it missed, so the result is also the number of
+     * levels that missed.
+     * @return the level that hit (0 = L1 ... 3 = DRAM).
      */
-    uint32_t access(uint64_t addr);
+    unsigned
+    accessLevel(uint64_t addr)
+    {
+        if (l1Cache.access(addr))
+            return L1;
+        if (l2Cache.access(addr))
+            return L2;
+        if (llcCache.access(addr))
+            return Llc;
+        return Dram;
+    }
+
+    /** Modelled latency in cycles beyond the L1-hit cost of a level. */
+    uint32_t latency(unsigned level) const { return levelLatency[level]; }
+
+    /** One access priced: latency(accessLevel(addr)). */
+    uint32_t access(uint64_t addr) { return latency(accessLevel(addr)); }
 
     /** Invalidate all levels. */
     void reset();
@@ -101,7 +161,8 @@ class CacheHierarchy
     Cache l1Cache;
     Cache l2Cache;
     Cache llcCache;
-    MemoryLatencies lat;
+    /** By Level; the L1-hit cost is folded into the base uop cost. */
+    uint32_t levelLatency[4];
 };
 
 } // namespace uarch

@@ -76,14 +76,12 @@ PerfModel::onMemAccess(uint64_t addr, uint32_t size, bool is_write)
     uint64_t last = (addr + (size ? size - 1 : 0)) / 64;
     for (uint64_t line = first; line <= last; ++line) {
         ++counters.l1dAccesses;
-        uint64_t before_l2 = caches.l2().misses();
-        uint64_t before_llc = caches.llc().misses();
-        uint64_t before_l1 = caches.l1().misses();
-        uint32_t latency = caches.access(line * 64);
-        counters.l1dMisses += caches.l1().misses() - before_l1;
-        counters.l2Misses += caches.l2().misses() - before_l2;
-        counters.llcMisses += caches.llc().misses() - before_llc;
-        penaltyCycles += cfg.memOverlapFactor * latency;
+        // Every level above the one that hit missed.
+        unsigned level = caches.accessLevel(line * 64);
+        counters.l1dMisses += level > CacheHierarchy::L1;
+        counters.l2Misses += level > CacheHierarchy::L2;
+        counters.llcMisses += level > CacheHierarchy::Llc;
+        penaltyCycles += cfg.memOverlapFactor * caches.latency(level);
     }
 }
 

@@ -79,6 +79,9 @@ class PerfModel : public vm::ExecutionObserver
 
     const PerfModelConfig &config() const { return cfg; }
 
+    /** The data-cache hierarchy behind the l1d/l2/llc counters. */
+    const CacheHierarchy &dataCaches() const { return caches; }
+
   private:
     PerfModelConfig cfg;
     CounterSet counters;

@@ -9,8 +9,11 @@
  * and a job's streamed report is deterministic across executions.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,8 +23,10 @@
 #include "serve/jobspec.hh"
 #include "serve/protocol.hh"
 #include "serve/queue.hh"
+#include "serve/server.hh"
 #include "support/logging.hh"
 #include "support/schema.hh"
+#include "support/unix_socket.hh"
 #include "workloads/workloads.hh"
 
 namespace rigor {
@@ -316,6 +321,86 @@ TEST(ServeJob, RunReportIsDeterministic)
     std::string second = execute();
     EXPECT_FALSE(first.empty());
     EXPECT_EQ(first, second);
+}
+
+
+/**
+ * A job's result line must follow its last event at once. The stream
+ * used to sleep on the condition variable (for up to its 200 ms poll)
+ * before looking for events, so a job that settled while the stream
+ * was not waiting — all of its events already pushed when the stream
+ * looked again — paid the whole poll. A tiny job finishes in a few
+ * milliseconds; its stream did almost always.
+ */
+TEST(ServeDaemon, ResultLineFollowsTheLastEventAtOnce)
+{
+    ScratchDir tmp;
+    ServerConfig cfg;
+    cfg.socketPath = tmp.dir() + "/serve.sock";
+    cfg.stateDir = tmp.dir() + "/state";
+    int serverRc = -1;
+    std::thread daemon([&] { serverRc = runServer(cfg); });
+    auto dial = [&] {
+        for (int i = 0; i < 500; ++i) {
+            int fd = connectUnixSocket(cfg.socketPath);
+            if (fd >= 0)
+                return fd;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        return -1;
+    };
+
+    JobSpec spec;
+    spec.workload = "sieve";
+    spec.invocations = 1;
+    spec.iterations = 1;
+    spec.size = 10;
+    spec.quiet = true;
+    std::vector<double> latencyMs;
+    for (int i = 0; i < 7; ++i) {
+        int fd = dial();
+        ASSERT_GE(fd, 0) << "daemon never listened";
+        LineChannel ch(fd);
+        Json req = makeRequest("submit");
+        req.set("job", jobSpecToJson(spec));
+        req.set("wait", true);
+        auto start = std::chrono::steady_clock::now();
+        ASSERT_TRUE(ch.writeLine(req.dump()));
+        std::string line;
+        bool gotResult = false;
+        while (!gotResult && ch.readLine(line)) {
+            Json msg = Json::parse(line);
+            const Json *op = msg.get("op");
+            if (op && op->asString() == "result") {
+                EXPECT_EQ(msg.at("exit_code").asInt(), 0) << line;
+                gotResult = true;
+            }
+        }
+        ASSERT_TRUE(gotResult);
+        latencyMs.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+    }
+
+    int fd = dial();
+    ASSERT_GE(fd, 0);
+    {
+        LineChannel ch(fd);
+        Json req = makeRequest("shutdown");
+        req.set("mode", "drain");
+        ASSERT_TRUE(ch.writeLine(req.dump()));
+        std::string line;
+        ch.readLine(line);
+    }
+    daemon.join();
+    EXPECT_EQ(serverRc, kExitSuccess);
+
+    // Well under the old 200 ms poll, with room for a sanitizer build
+    // and a slow fsync; the median ignores one stalled submission.
+    std::sort(latencyMs.begin(), latencyMs.end());
+    EXPECT_LT(latencyMs[latencyMs.size() / 2], 100.0)
+        << "fastest " << latencyMs.front() << " ms, slowest "
+        << latencyMs.back() << " ms";
 }
 
 } // namespace

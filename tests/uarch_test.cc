@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "support/logging.hh"
 #include "uarch/branch.hh"
 #include "uarch/cache.hh"
@@ -63,6 +65,142 @@ TEST(Cache, BadGeometryPanics)
 {
     EXPECT_THROW(Cache({1000, 60, 2}), PanicError);
     EXPECT_THROW(Cache({1024, 64, 0}), PanicError);
+    EXPECT_THROW(Cache({256 * 64, 64, 256}), PanicError);  // > 255 ways
+}
+
+/**
+ * The list-of-structs cache model Cache replaced, kept as a reference:
+ * {tag, lru, valid} per way, scanned linearly, invalid way first, else
+ * the least recently used way. `tagShift` 1 is the old tag
+ * (`line_addr >> 1`); 0 tags with the whole line address.
+ */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(CacheGeometry geometry, unsigned tagShift)
+        : geom(geometry), setCount(geometry.numSets()), shift(tagShift),
+          lines(static_cast<size_t>(setCount) * geometry.ways)
+    {}
+
+    bool
+    access(uint64_t addr)
+    {
+        ++accessCount;
+        uint64_t line_addr = addr / geom.lineBytes;
+        uint32_t set = static_cast<uint32_t>(line_addr & (setCount - 1));
+        uint64_t tag = line_addr >> shift;
+        Line *base = &lines[static_cast<size_t>(set) * geom.ways];
+        Line *victim = base;
+        for (uint32_t w = 0; w < geom.ways; ++w) {
+            Line &l = base[w];
+            if (l.valid && l.tag == tag) {
+                l.lru = ++lruClock;
+                return true;
+            }
+            if (!l.valid)
+                victim = &l;
+            else if (victim->valid && l.lru < victim->lru)
+                victim = &l;
+        }
+        ++missCount;
+        victim->valid = true;
+        victim->tag = tag;
+        victim->lru = ++lruClock;
+        return false;
+    }
+
+    void
+    reset()
+    {
+        for (auto &l : lines)
+            l = {};
+        lruClock = accessCount = missCount = 0;
+    }
+
+    uint64_t accesses() const { return accessCount; }
+    uint64_t misses() const { return missCount; }
+
+  private:
+    struct Line
+    {
+        uint64_t tag = 0;
+        uint64_t lru = 0;
+        bool valid = false;
+    };
+
+    CacheGeometry geom;
+    uint32_t setCount;
+    unsigned shift;
+    std::vector<Line> lines;
+    uint64_t lruClock = 0;
+    uint64_t accessCount = 0;
+    uint64_t missCount = 0;
+};
+
+/**
+ * A seeded address stream with reuse at several distances: a hot
+ * handful of lines, a working set near the cache size, and cold
+ * addresses over four times the cache.
+ */
+uint64_t
+nextAddress(Rng &rng, const CacheGeometry &g)
+{
+    uint64_t size = g.sizeBytes;
+    switch (rng.nextBounded(3)) {
+      case 0: return rng.nextBounded(8) * g.lineBytes;
+      case 1: return rng.nextBounded(size + size / 2);
+      default: return rng.nextBounded(4 * size);
+    }
+}
+
+TEST(Cache, PackedMruSetsMatchTheReferenceLru)
+{
+    uint64_t seed = 1;
+    for (uint32_t ways : {1u, 2u, 8u, 16u}) {
+        for (uint32_t sets = 1; sets <= 8192; sets *= 2) {
+            CacheGeometry g{sets * 64 * ways, 64, ways};
+            Cache cache(g);
+            ReferenceCache whole(g, 0);
+            // The old `line_addr >> 1` tag tells the lines of one set
+            // apart only when there are at least two sets.
+            ReferenceCache shifted(g, 1);
+            Rng rng(seed++);
+            const int n = 6000;
+            for (int i = 0; i < n; ++i) {
+                if (i == n / 2) {
+                    cache.reset();
+                    whole.reset();
+                    shifted.reset();
+                }
+                uint64_t addr = nextAddress(rng, g);
+                bool hit = cache.access(addr);
+                ASSERT_EQ(hit, whole.access(addr))
+                    << ways << " ways, " << sets << " sets, access " << i;
+                if (sets > 1) {
+                    ASSERT_EQ(hit, shifted.access(addr))
+                        << ways << " ways, " << sets << " sets, access "
+                        << i;
+                }
+            }
+            EXPECT_EQ(cache.accesses(), whole.accesses());
+            EXPECT_EQ(cache.misses(), whole.misses());
+            EXPECT_GT(cache.misses(), 0u);
+            if (sets > 1) {
+                EXPECT_EQ(cache.misses(), shifted.misses());
+            }
+        }
+    }
+}
+
+TEST(Cache, SingleSetTellsAdjacentLinesApart)
+{
+    // Fully associative: one set of two ways. Lines 0 and 1 are
+    // distinct lines, so the second access misses.
+    Cache c({128, 64, 2});
+    EXPECT_FALSE(c.access(0));
+    EXPECT_FALSE(c.access(64));
+    EXPECT_TRUE(c.access(0));
+    EXPECT_TRUE(c.access(64));
 }
 
 TEST(CacheHierarchyTest, LatencyIncreasesDownTheHierarchy)
@@ -238,6 +376,48 @@ TEST(PerfModelTest, CacheMissesRaiseCycles)
     EXPECT_LT(warm.snapshot().cycles, cold.snapshot().cycles);
     EXPECT_LT(warm.snapshot().l1dMisses, 5u);
     EXPECT_GT(cold.snapshot().l1dMisses, 900u);
+}
+
+TEST(PerfModelTest, MissCountersMatchEachLevel)
+{
+    PerfModel m;
+    Rng rng(11);
+    for (int i = 0; i < 200000; ++i) {
+        // Reuse across L1, L2 and LLC sizes, plus spanning accesses.
+        uint64_t span = uint64_t{1} << (12 + 2 * rng.nextBounded(7));
+        m.onMemAccess(rng.nextBounded(span), 1 + rng.nextBounded(16),
+                      rng.nextBernoulli(0.3));
+        if (i % 7 == 0)
+            m.onAlloc(rng.nextBounded(span), 96);
+    }
+    const CacheHierarchy &h = m.dataCaches();
+    CounterSet c = m.snapshot();
+    EXPECT_EQ(c.l1dAccesses, h.l1().accesses());
+    EXPECT_EQ(c.l1dMisses, h.l1().misses());
+    EXPECT_EQ(c.l2Misses, h.l2().misses());
+    EXPECT_EQ(c.llcMisses, h.llc().misses());
+    // Each level sees exactly the misses of the level above.
+    EXPECT_EQ(h.l2().accesses(), h.l1().misses());
+    EXPECT_EQ(h.llc().accesses(), h.l2().misses());
+    EXPECT_GT(c.llcMisses, 0u);
+    EXPECT_LT(c.llcMisses, c.l2Misses);
+    EXPECT_LT(c.l2Misses, c.l1dMisses);
+}
+
+TEST(CacheHierarchyTest, AccessLevelNamesTheLevelThatHit)
+{
+    auto h = CacheHierarchy::makeDefault();
+    EXPECT_EQ(h.accessLevel(0x1000), CacheHierarchy::Dram);
+    EXPECT_EQ(h.accessLevel(0x1000), CacheHierarchy::L1);
+    // Evict 0x1000 from the 8-way L1 set (4 KiB apart) but not L2.
+    for (uint64_t i = 1; i <= 8; ++i)
+        h.accessLevel(0x1000 + i * 4096);
+    EXPECT_EQ(h.accessLevel(0x1000), CacheHierarchy::L2);
+    EXPECT_EQ(h.latency(CacheHierarchy::L1), 0u);
+    MemoryLatencies lat;
+    EXPECT_EQ(h.latency(CacheHierarchy::L2), lat.l2Hit);
+    EXPECT_EQ(h.latency(CacheHierarchy::Llc), lat.llcHit);
+    EXPECT_EQ(h.latency(CacheHierarchy::Dram), lat.dram);
 }
 
 TEST(PerfModelTest, AblationDisablesModels)

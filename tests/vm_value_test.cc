@@ -203,8 +203,9 @@ TEST(Dict, ChurnDoesNotExhaustProbeSlots)
     DictObj d(11);
     for (int i = 0; i < 20000; ++i) {
         d.set(Value::makeInt(i), Value::makeInt(i));
-        if (i >= 8)
+        if (i >= 8) {
             EXPECT_TRUE(d.erase(Value::makeInt(i - 8)));
+        }
         // Absent-key lookup exercises full probe chains.
         EXPECT_EQ(d.find(Value::makeInt(-1 - i)), nullptr);
     }

@@ -7,14 +7,18 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
+# Warnings fail the build here, as in CI. The default configuration
+# (a plain `cmake -B build -S .`) only reports them.
+werror=-DCMAKE_CXX_FLAGS=-Werror
+
 echo "== regular build =="
-cmake -B build -S . >/dev/null
+cmake -B build -S . "$werror" >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
 echo "== sanitizer build (ASan+UBSan) =="
 cmake -B build-asan -S . -DRIGOR_SANITIZE=ON \
-    -DCMAKE_BUILD_TYPE=Debug >/dev/null
+    -DCMAKE_BUILD_TYPE=Debug "$werror" >/dev/null
 cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan --output-on-failure -j "$jobs"
 
@@ -24,7 +28,7 @@ echo "== switch-fallback dispatch build (-DRIGOR_NO_COMPUTED_GOTO) =="
 # (the *model* charges dispatch costs, not the host dispatch
 # mechanism).
 cmake -B build-nocg -S . \
-    -DCMAKE_CXX_FLAGS="-DRIGOR_NO_COMPUTED_GOTO" >/dev/null
+    -DCMAKE_CXX_FLAGS="-DRIGOR_NO_COMPUTED_GOTO -Werror" >/dev/null
 cmake --build build-nocg -j "$jobs" --target rigorbench
 
 echo "== parallel determinism (--jobs 4 vs --jobs 1, every tier) =="
