@@ -878,13 +878,7 @@ executeJob(const JobSpec &spec, const JobHooks &hooks)
 {
     if (!hooks.output)
         panic("executeJob needs an output hook");
-    // The same invariant the CLI enforces at flag-parse time: a
-    // resumed suite only re-measures what the interrupted process
-    // left unfinished, so archiving it would record a partial picture
-    // of the suite as if it were complete.
-    if (!spec.archiveDir.empty() && !spec.resumePath.empty())
-        fatal("a job cannot both archive and resume; archive the "
-              "suite in a single uninterrupted run");
+    validateJobSpec(spec);
 
     harness::FaultPlan plan;
     for (const auto &s : spec.injectSpecs)

@@ -40,6 +40,30 @@ intField(const Json &j, const char *key, int64_t min_value)
 
 } // namespace
 
+void
+validateJobSpec(const JobSpec &spec)
+{
+    // A suite writes no run document: these would be silently ignored.
+    if (spec.command == "suite" && !spec.jsonPath.empty())
+        fatal("--json (json_path) applies to 'run' only; a suite "
+              "writes no run document (use --archive)");
+    if (spec.command == "suite" && !spec.csvPath.empty())
+        fatal("--csv (csv_path) applies to 'run' only; a suite "
+              "writes no series CSV (use --archive)");
+    // A resume path is not required here: a submitted suite arrives
+    // without one and the daemon assigns a durable path at admission.
+    if (spec.checkpointEvery > 0 && spec.command != "suite")
+        fatal("--checkpoint-every (checkpoint_every) requires a "
+              "suite job");
+    // A resumed suite only re-measures what the interrupted process
+    // left unfinished, so archiving it would record a partial picture
+    // of the suite as if it were complete.
+    if (!spec.archiveDir.empty() && !spec.resumePath.empty())
+        fatal("--archive (archive_dir) cannot be combined with "
+              "--resume (resume_path); archive the suite in a single "
+              "uninterrupted run");
+}
+
 Json
 jobSpecToJson(const JobSpec &spec)
 {
@@ -128,10 +152,7 @@ jobSpecFromJson(const Json &j)
     spec.label = j.at("label").asString();
     spec.resumePath = j.at("resume_path").asString();
     spec.checkpointEvery = intField(j, "checkpoint_every", 0);
-    // A resume path is not required here: a submitted suite arrives
-    // without one and the daemon assigns a durable path at admission.
-    if (spec.checkpointEvery > 0 && spec.command != "suite")
-        fatal("job spec: checkpoint_every requires a suite job");
+    validateJobSpec(spec);
     return spec;
 }
 

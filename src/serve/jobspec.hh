@@ -65,14 +65,24 @@ struct JobSpec
 };
 
 /**
+ * The cross-field rules every job must meet, wherever it comes from:
+ * the CLI checks its flags with this before running or submitting,
+ * jobSpecFromJson checks every spec the daemon receives or restores,
+ * and executeJob checks again before running. Messages name the CLI
+ * flag and the spec field.
+ * @throws FatalError naming the offending flag.
+ */
+void validateJobSpec(const JobSpec &spec);
+
+/**
  * Serialize a spec as a versioned document (kJobSpecSchema). The
  * round-trip through jobSpecFromJson is exact.
  */
 Json jobSpecToJson(const JobSpec &spec);
 
 /**
- * Parse a spec back, validating the schema/version header and every
- * field range the CLI would have enforced.
+ * Parse a spec back, validating the schema/version header, every
+ * field range the CLI would have enforced and validateJobSpec.
  * @throws FatalError naming the offending field on any mismatch.
  */
 JobSpec jobSpecFromJson(const Json &j);

@@ -15,19 +15,28 @@
  *
  * Ops: hello, submit, status, cancel, query, shutdown. Error codes
  * are stable machine strings (admission control returns
- * "queue-full" / "io-fault-rejected" / "shutting-down" rather than
- * prose, so clients can branch on them).
+ * "queue-full" / "io-fault-rejected" / "shutting-down", an over-long
+ * request line "line-too-long", rather than prose, so clients can
+ * branch on them).
  */
 
 #ifndef RIGOR_SERVE_PROTOCOL_HH
 #define RIGOR_SERVE_PROTOCOL_HH
 
+#include <cstddef>
 #include <string>
 
 #include "support/json.hh"
 
 namespace rigor {
 namespace serve {
+
+/**
+ * Longest request line the daemon reads, newline excluded. A longer
+ * line gets a "line-too-long" error and the connection is closed, so
+ * one client cannot grow the daemon's memory without bound.
+ */
+constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
 
 /** A request envelope with the schema header and `op` set. */
 Json makeRequest(const std::string &op);

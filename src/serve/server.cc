@@ -520,7 +520,7 @@ void
 Server::handleConn(int fd)
 {
     {
-        LineChannel ch(fd);
+        LineChannel ch(fd, kMaxRequestLineBytes);
         std::string line;
         while (ch.readLine(line)) {
             Json req;
@@ -544,6 +544,12 @@ Server::handleConn(int fd)
                     break;
             }
         }
+        if (ch.lineTooLong())
+            ch.writeLine(makeError("?", "line-too-long",
+                                   strprintf("request line exceeds "
+                                             "%zu bytes",
+                                             kMaxRequestLineBytes))
+                             .dump());
         // Deregister before the channel closes the fd: once the fd
         // is closed the number can be reused, and the exit path's
         // wake-up shutdown() must never hit a stranger's socket.

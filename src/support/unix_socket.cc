@@ -112,12 +112,19 @@ LineChannel::readLine(std::string &line)
 {
     for (;;) {
         size_t nl = buf_.find('\n');
+        size_t len = nl == std::string::npos ? buf_.size() : nl;
+        if (len > maxLine_) {
+            // Stop reading: the rest of the line is never buffered.
+            tooLong_ = true;
+            buf_.clear();
+            return false;
+        }
         if (nl != std::string::npos) {
             line.assign(buf_, 0, nl);
             buf_.erase(0, nl + 1);
             return true;
         }
-        if (fd_ < 0)
+        if (tooLong_ || fd_ < 0)
             return false;
         char chunk[4096];
         ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);

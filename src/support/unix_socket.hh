@@ -12,6 +12,7 @@
 #ifndef RIGOR_SUPPORT_UNIX_SOCKET_HH
 #define RIGOR_SUPPORT_UNIX_SOCKET_HH
 
+#include <cstdint>
 #include <string>
 
 namespace rigor {
@@ -41,7 +42,13 @@ int connectUnixSocket(const std::string &path);
 class LineChannel
 {
   public:
-    explicit LineChannel(int fd) : fd_(fd) {}
+    /**
+     * @param max_line longest line readLine accepts, newline
+     * excluded; the buffer never grows much beyond it.
+     */
+    explicit LineChannel(int fd, size_t max_line = SIZE_MAX)
+        : fd_(fd), maxLine_(max_line)
+    {}
     ~LineChannel();
 
     LineChannel(const LineChannel &) = delete;
@@ -49,9 +56,14 @@ class LineChannel
 
     /**
      * Read the next newline-terminated line (newline stripped).
-     * @return false on EOF or error (the connection is done).
+     * @return false on EOF or error, or once a line exceeds the
+     * maximum length (lineTooLong()); either way the connection is
+     * done.
      */
     bool readLine(std::string &line);
+
+    /** True once readLine met a line longer than the maximum. */
+    bool lineTooLong() const { return tooLong_; }
 
     /** Write `line` plus a newline. @return false when the peer is gone. */
     bool writeLine(const std::string &line);
@@ -63,6 +75,8 @@ class LineChannel
 
   private:
     int fd_;
+    size_t maxLine_;
+    bool tooLong_ = false;
     std::string buf_;
 };
 

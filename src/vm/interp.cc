@@ -1215,7 +1215,11 @@ Interp::evalFrame(Frame &frame)
     std::vector<Value> &stack = frame.stack;
     std::vector<Value> &locals = frame.locals;
 
-    auto push = [&stack](Value v) { stack.push_back(std::move(v)); };
+    // Forwarding, not by-value: a pushed lvalue is copied straight
+    // into its slot, with no temporary to move from and destroy.
+    auto push = [&stack](auto &&v) {
+        stack.push_back(std::forward<decltype(v)>(v));
+    };
     auto pop = [&stack]() {
         Value v = std::move(stack.back());
         stack.pop_back();

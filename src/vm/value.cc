@@ -3,8 +3,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "support/logging.hh"
-
 namespace rigor {
 namespace vm {
 
@@ -26,83 +24,6 @@ objKindName(ObjKind kind)
       case ObjKind::Slice: return "slice";
     }
     return "?";
-}
-
-Value
-Value::makeObj(Object *o)
-{
-    if (!o)
-        panic("Value::makeObj: null object");
-    Value v;
-    v.tag_ = Tag::Obj;
-    v.payload.o = o;
-    o->incRef();
-    return v;
-}
-
-Value
-Value::stealObj(Object *o)
-{
-    if (!o)
-        panic("Value::stealObj: null object");
-    Value v;
-    v.tag_ = Tag::Obj;
-    v.payload.o = o;
-    return v;
-}
-
-Value::Value(const Value &other)
-    : tag_(other.tag_), payload(other.payload)
-{
-    if (tag_ == Tag::Obj)
-        payload.o->incRef();
-}
-
-Value::Value(Value &&other) noexcept
-    : tag_(other.tag_), payload(other.payload)
-{
-    other.tag_ = Tag::None;
-    other.payload.i = 0;
-}
-
-Value &
-Value::operator=(const Value &other)
-{
-    if (this == &other)
-        return *this;
-    if (other.tag_ == Tag::Obj)
-        other.payload.o->incRef();
-    if (tag_ == Tag::Obj)
-        payload.o->decRef();
-    tag_ = other.tag_;
-    payload = other.payload;
-    return *this;
-}
-
-Value &
-Value::operator=(Value &&other) noexcept
-{
-    if (this == &other)
-        return *this;
-    if (tag_ == Tag::Obj)
-        payload.o->decRef();
-    tag_ = other.tag_;
-    payload = other.payload;
-    other.tag_ = Tag::None;
-    other.payload.i = 0;
-    return *this;
-}
-
-Value::~Value()
-{
-    if (tag_ == Tag::Obj)
-        payload.o->decRef();
-}
-
-bool
-Value::isObjKind(ObjKind kind) const
-{
-    return tag_ == Tag::Obj && payload.o->kind() == kind;
 }
 
 double

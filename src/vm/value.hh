@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "support/logging.hh"
+
 namespace rigor {
 namespace vm {
 
@@ -90,16 +92,20 @@ class Value
     }
 
     /** Construct from a heap object, taking a new reference. */
-    static Value makeObj(Object *o);
+    static inline Value makeObj(Object *o);
 
     /** Construct from a heap object, *stealing* the caller's reference. */
-    static Value stealObj(Object *o);
+    static inline Value stealObj(Object *o);
 
-    Value(const Value &other);
-    Value(Value &&other) noexcept;
-    Value &operator=(const Value &other);
-    Value &operator=(Value &&other) noexcept;
-    ~Value();
+    // Ownership members are defined inline below class Object (see
+    // DESIGN.md): every push, pop and temporary in the interpreter
+    // runs them, so the compiler must see incRef/decRef to inline them
+    // and drop the work on immediates.
+    inline Value(const Value &other);
+    inline Value(Value &&other) noexcept;
+    inline Value &operator=(const Value &other);
+    inline Value &operator=(Value &&other) noexcept;
+    inline ~Value();
 
     Tag tag() const { return tag_; }
     bool isNone() const { return tag_ == Tag::None; }
@@ -108,7 +114,7 @@ class Value
     bool isFloat() const { return tag_ == Tag::Float; }
     bool isObj() const { return tag_ == Tag::Obj; }
     /** True for objects of the given kind. */
-    bool isObjKind(ObjKind kind) const;
+    inline bool isObjKind(ObjKind kind) const;
 
     bool asBool() const { return payload.b; }
     int64_t asInt() const { return payload.i; }
@@ -190,6 +196,85 @@ class Object
     ObjKind kind_;
     uint32_t refCount = 0;
 };
+
+// --- Value ownership (inline: needs Object's incRef/decRef) ---------
+
+inline Value
+Value::makeObj(Object *o)
+{
+    if (!o)
+        panic("Value::makeObj: null object");
+    Value v;
+    v.tag_ = Tag::Obj;
+    v.payload.o = o;
+    o->incRef();
+    return v;
+}
+
+inline Value
+Value::stealObj(Object *o)
+{
+    if (!o)
+        panic("Value::stealObj: null object");
+    Value v;
+    v.tag_ = Tag::Obj;
+    v.payload.o = o;
+    return v;
+}
+
+inline Value::Value(const Value &other)
+    : tag_(other.tag_), payload(other.payload)
+{
+    if (tag_ == Tag::Obj)
+        payload.o->incRef();
+}
+
+inline Value::Value(Value &&other) noexcept
+    : tag_(other.tag_), payload(other.payload)
+{
+    other.tag_ = Tag::None;
+    other.payload.i = 0;
+}
+
+inline Value &
+Value::operator=(const Value &other)
+{
+    if (this == &other)
+        return *this;
+    if (other.tag_ == Tag::Obj)
+        other.payload.o->incRef();
+    if (tag_ == Tag::Obj)
+        payload.o->decRef();
+    tag_ = other.tag_;
+    payload = other.payload;
+    return *this;
+}
+
+inline Value &
+Value::operator=(Value &&other) noexcept
+{
+    if (this == &other)
+        return *this;
+    if (tag_ == Tag::Obj)
+        payload.o->decRef();
+    tag_ = other.tag_;
+    payload = other.payload;
+    other.tag_ = Tag::None;
+    other.payload.i = 0;
+    return *this;
+}
+
+inline Value::~Value()
+{
+    if (tag_ == Tag::Obj)
+        payload.o->decRef();
+}
+
+inline bool
+Value::isObjKind(ObjKind kind) const
+{
+    return tag_ == Tag::Obj && payload.o->kind() == kind;
+}
 
 /** Immutable string. */
 class StrObj : public Object

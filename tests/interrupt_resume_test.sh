@@ -143,5 +143,16 @@ grep -q "config" "$WORK/mismatch/stderr.txt" ||
 rc=$?
 [ "$rc" -eq 1 ] || fail "--checkpoint-every without suite --resume" \
     "exited $rc (want 1)"
+# A suite writes no run document or series CSV: the flags are
+# rejected, never silently ignored.
+for flag in --json --csv; do
+    "$BIN" suite --invocations 1 --iterations 1 "$flag" "$WORK/ignored" \
+        >"$WORK/flag.txt" 2>&1
+    rc=$?
+    [ "$rc" -eq 1 ] || fail "suite $flag exited $rc (want 1)"
+    grep -q -- "$flag" "$WORK/flag.txt" ||
+        fail "suite $flag: the error does not name the flag"
+    [ ! -e "$WORK/ignored" ] || fail "suite $flag wrote a file"
+done
 
 echo "PASS: interrupt/resume integration"

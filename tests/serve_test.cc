@@ -7,6 +7,7 @@
  * — suite heartbeats route through the installed LogSink (so a
  * per-job-thread sink captures them and --quiet fully silences them)
  * and a job's streamed report is deterministic across executions.
+ * Also the daemon's limit on the length of a request line.
  */
 
 #include <algorithm>
@@ -16,6 +17,8 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <sys/socket.h>
 
 #include <gtest/gtest.h>
 
@@ -141,6 +144,71 @@ TEST(JobSpec, RejectsUnknownCommandAndBadCheckpoint)
     suite.command = "suite";
     suite.checkpointEvery = 4;
     EXPECT_NO_THROW(jobSpecFromJson(jobSpecToJson(suite)));
+}
+
+/** Connect to the daemon at `path`, retrying while it starts. */
+int
+dialDaemon(const std::string &path)
+{
+    for (int i = 0; i < 500; ++i) {
+        int fd = connectUnixSocket(path);
+        if (fd >= 0)
+            return fd;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return -1;
+}
+
+/** Ask the daemon at `path` to drain and wait for its answer. */
+void
+drainDaemon(const std::string &path)
+{
+    int fd = dialDaemon(path);
+    ASSERT_GE(fd, 0);
+    LineChannel ch(fd);
+    Json req = makeRequest("shutdown");
+    req.set("mode", "drain");
+    ASSERT_TRUE(ch.writeLine(req.dump()));
+    std::string line;
+    ch.readLine(line);
+}
+
+/**
+ * A suite writes no run document and no series CSV. Each flag is
+ * rejected by name wherever a job enters: the daemon's spec parser
+ * and the execution engine the CLI and the daemon share.
+ */
+void
+expectSuiteRejects(const char *flag, JobSpec suite)
+{
+    suite.command = "suite";
+    suite.quiet = true;
+    try {
+        jobSpecFromJson(jobSpecToJson(suite));
+        ADD_FAILURE() << "jobSpecFromJson accepted suite " << flag;
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+            << e.what();
+    }
+    JobHooks hooks;
+    std::string out;
+    hooks.output = [&out](const std::string &c) { out += c; };
+    EXPECT_THROW(executeJob(suite, hooks), FatalError);
+    EXPECT_EQ(out, "");
+}
+
+TEST(JobSpec, SuiteRejectsJson)
+{
+    JobSpec suite;
+    suite.jsonPath = "/tmp/never-written.json";
+    expectSuiteRejects("--json", suite);
+}
+
+TEST(JobSpec, SuiteRejectsCsv)
+{
+    JobSpec suite;
+    suite.csvPath = "/tmp/never-written.csv";
+    expectSuiteRejects("--csv", suite);
 }
 
 TEST(QuerySpec, RoundTripIsExact)
@@ -340,15 +408,6 @@ TEST(ServeDaemon, ResultLineFollowsTheLastEventAtOnce)
     cfg.stateDir = tmp.dir() + "/state";
     int serverRc = -1;
     std::thread daemon([&] { serverRc = runServer(cfg); });
-    auto dial = [&] {
-        for (int i = 0; i < 500; ++i) {
-            int fd = connectUnixSocket(cfg.socketPath);
-            if (fd >= 0)
-                return fd;
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-        return -1;
-    };
 
     JobSpec spec;
     spec.workload = "sieve";
@@ -358,7 +417,7 @@ TEST(ServeDaemon, ResultLineFollowsTheLastEventAtOnce)
     spec.quiet = true;
     std::vector<double> latencyMs;
     for (int i = 0; i < 7; ++i) {
-        int fd = dial();
+        int fd = dialDaemon(cfg.socketPath);
         ASSERT_GE(fd, 0) << "daemon never listened";
         LineChannel ch(fd);
         Json req = makeRequest("submit");
@@ -382,16 +441,7 @@ TEST(ServeDaemon, ResultLineFollowsTheLastEventAtOnce)
                                 .count());
     }
 
-    int fd = dial();
-    ASSERT_GE(fd, 0);
-    {
-        LineChannel ch(fd);
-        Json req = makeRequest("shutdown");
-        req.set("mode", "drain");
-        ASSERT_TRUE(ch.writeLine(req.dump()));
-        std::string line;
-        ch.readLine(line);
-    }
+    drainDaemon(cfg.socketPath);
     daemon.join();
     EXPECT_EQ(serverRc, kExitSuccess);
 
@@ -401,6 +451,78 @@ TEST(ServeDaemon, ResultLineFollowsTheLastEventAtOnce)
     EXPECT_LT(latencyMs[latencyMs.size() / 2], 100.0)
         << "fastest " << latencyMs.front() << " ms, slowest "
         << latencyMs.back() << " ms";
+}
+
+TEST(LineChannel, LineLongerThanTheMaximumEndsTheChannel)
+{
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    LineChannel writer(fds[0]);
+    LineChannel reader(fds[1], 8);
+    ASSERT_TRUE(writer.writeLine("12345678"));
+    ASSERT_TRUE(writer.writeLine("123456789"));
+    std::string line;
+    ASSERT_TRUE(reader.readLine(line));
+    EXPECT_EQ(line, "12345678");
+    EXPECT_FALSE(reader.lineTooLong());
+    EXPECT_FALSE(reader.readLine(line));
+    EXPECT_TRUE(reader.lineTooLong());
+    ASSERT_TRUE(writer.writeLine("1"));
+    EXPECT_FALSE(reader.readLine(line)) << "read past a too-long line";
+
+    // Without any newline, the limit still holds.
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    LineChannel sender(fds[0]);
+    LineChannel bounded(fds[1], 8);
+    ASSERT_EQ(::send(sender.fd(), "123456789", 9, 0), 9);
+    EXPECT_FALSE(bounded.readLine(line));
+    EXPECT_TRUE(bounded.lineTooLong());
+}
+
+/**
+ * A client that sends one endless line gets a structured
+ * line-too-long error and its connection closed; the daemon never
+ * buffers more than the maximum and keeps serving everyone else.
+ */
+TEST(ServeDaemon, OverLongLineIsRejectedAndOthersStillServed)
+{
+    ScratchDir tmp;
+    ServerConfig cfg;
+    cfg.socketPath = tmp.dir() + "/serve.sock";
+    cfg.stateDir = tmp.dir() + "/state";
+    int serverRc = -1;
+    std::thread daemon([&] { serverRc = runServer(cfg); });
+
+    std::string line;
+    {
+        int fd = dialDaemon(cfg.socketPath);
+        ASSERT_GE(fd, 0) << "daemon never listened";
+        LineChannel ch(fd);
+        // The daemon may close before it has read the whole line, so
+        // the write itself may fail.
+        ch.writeLine(std::string(kMaxRequestLineBytes + 1, 'x'));
+        ASSERT_TRUE(ch.readLine(line));
+        Json err = Json::parse(line);
+        EXPECT_FALSE(err.at("ok").asBool());
+        EXPECT_EQ(err.at("error").asString(), "line-too-long");
+        EXPECT_FALSE(ch.readLine(line)) << "connection left open";
+    }
+    {
+        int fd = dialDaemon(cfg.socketPath);
+        ASSERT_GE(fd, 0);
+        LineChannel ch(fd);
+        // A request padded to exactly the maximum is still served.
+        std::string hello = makeRequest("hello").dump();
+        hello.resize(kMaxRequestLineBytes, ' ');
+        ASSERT_TRUE(ch.writeLine(hello));
+        ASSERT_TRUE(ch.readLine(line));
+        Json resp = Json::parse(line);
+        EXPECT_TRUE(resp.at("ok").asBool()) << line;
+        EXPECT_EQ(resp.at("op").asString(), "hello");
+    }
+    drainDaemon(cfg.socketPath);
+    daemon.join();
+    EXPECT_EQ(serverRc, kExitSuccess);
 }
 
 } // namespace

@@ -61,6 +61,100 @@ TEST(Value, SelfAssignmentSafe)
     EXPECT_EQ(v.str(), "self");
 }
 
+// The ownership members are inline in value.hh; these pin the exact
+// reference-count effect of each one on object and immediate values.
+
+TEST(ValueOwnership, CopyOfObjectAddsOneReference)
+{
+    StrObj *raw = new StrObj("copy");
+    Value a = Value::makeObj(raw);
+    Value b(a);
+    EXPECT_EQ(raw->refs(), 2u);
+    Value c;
+    c = a;
+    EXPECT_EQ(raw->refs(), 3u);
+    EXPECT_EQ(b.asObj(), raw);
+    EXPECT_EQ(c.asObj(), raw);
+}
+
+TEST(ValueOwnership, MoveLeavesSourceNoneAndCountUnchanged)
+{
+    StrObj *raw = new StrObj("move");
+    Value a = Value::makeObj(raw);
+    Value b(std::move(a));
+    EXPECT_TRUE(a.isNone());
+    EXPECT_EQ(raw->refs(), 1u);
+    Value c;
+    c = std::move(b);
+    EXPECT_TRUE(b.isNone());
+    EXPECT_EQ(raw->refs(), 1u);
+    EXPECT_EQ(c.asObj(), raw);
+}
+
+TEST(ValueOwnership, AssignmentOverObjectReleasesOldObject)
+{
+    StrObj *old_copy = new StrObj("old-copy");
+    StrObj *old_move = new StrObj("old-move");
+    old_copy->incRef();  // keep both alive to observe the release
+    old_move->incRef();
+    Value replacement = makeStr("new");
+
+    Value v = Value::makeObj(old_copy);
+    v = replacement;
+    EXPECT_EQ(old_copy->refs(), 1u);
+
+    Value w = Value::makeObj(old_move);
+    w = std::move(replacement);
+    EXPECT_EQ(old_move->refs(), 1u);
+    EXPECT_EQ(v.asObj(), w.asObj());
+    EXPECT_EQ(w.asObj()->refs(), 2u);
+
+    old_copy->decRef();
+    old_move->decRef();
+}
+
+TEST(ValueOwnership, SelfAssignmentKeepsObjectAlive)
+{
+    StrObj *raw = new StrObj("self");
+    Value v = Value::makeObj(raw);
+    Value &alias = v;
+    v = alias;
+    EXPECT_EQ(raw->refs(), 1u);
+    EXPECT_EQ(v.asObj(), raw);
+    v = std::move(alias);
+    EXPECT_EQ(raw->refs(), 1u);
+    EXPECT_EQ(v.asObj(), raw);
+    EXPECT_EQ(v.str(), "self");
+}
+
+TEST(ValueOwnership, ImmediateCopiesNeverTouchARefcount)
+{
+    // An int whose bits equal a live object's address: treating it as
+    // an object anywhere would show up in that object's count.
+    StrObj *raw = new StrObj("bystander");
+    Value keep = Value::makeObj(raw);
+    const auto bits =
+        static_cast<int64_t>(reinterpret_cast<intptr_t>(raw));
+    Value i = Value::makeInt(bits);
+    Value copy(i);
+    Value assigned = Value::makeBool(true);
+    assigned = i;
+    Value moved(std::move(copy));
+    Value over = Value::makeFloat(1.5);
+    over = std::move(moved);
+    EXPECT_EQ(raw->refs(), 1u);
+    EXPECT_EQ(assigned.asInt(), bits);
+    EXPECT_EQ(over.asInt(), bits);
+    EXPECT_TRUE(copy.isNone());
+    EXPECT_TRUE(moved.isNone());
+}
+
+TEST(ValueOwnership, NullObjectPanics)
+{
+    EXPECT_THROW(Value::makeObj(nullptr), PanicError);
+    EXPECT_THROW(Value::stealObj(nullptr), PanicError);
+}
+
 TEST(Value, NumericEqualityCrossesTypes)
 {
     EXPECT_TRUE(Value::makeInt(1).equals(Value::makeFloat(1.0)));

@@ -29,7 +29,10 @@ echo "== switch-fallback dispatch build (-DRIGOR_NO_COMPUTED_GOTO) =="
 # mechanism).
 cmake -B build-nocg -S . \
     -DCMAKE_CXX_FLAGS="-DRIGOR_NO_COMPUTED_GOTO -Werror" >/dev/null
-cmake --build build-nocg -j "$jobs" --target rigorbench
+cmake --build build-nocg -j "$jobs" --target rigorbench rigor_tests
+# The modelled counters and VM semantics are pinned under both forms.
+./build-nocg/tests/rigor_tests \
+    --gtest_filter='*GoldenCounters*:*Differential*'
 
 echo "== parallel determinism (--jobs 4 vs --jobs 1, every tier) =="
 tmp=$(mktemp -d)

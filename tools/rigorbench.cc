@@ -37,8 +37,10 @@
  *   --target PCT             (sequential only; default 2)
  *   --json FILE              dump the raw run as JSON
  *                            (archive list: the machine-readable
- *                            listing; '-' prints it to stdout)
+ *                            listing; '-' prints it to stdout;
+ *                            suite rejects it, exit 1)
  *   --csv FILE               dump per-iteration samples as CSV
+ *                            (suite rejects it, exit 1)
  *   --no-noise               disable the measurement-noise model
  *   --quiet                  silence warn()/inform() status output
  *
@@ -1111,6 +1113,14 @@ main(int argc, char **argv)
     Options opt;
     try {
         opt = parseArgs(argc, argv);
+        // The rules the daemon applies to a submitted job, applied to
+        // the flags here so a misplaced one is a usage error.
+        if (opt.command == "run" || opt.command == "suite")
+            serve::validateJobSpec(
+                specFromOptions(opt, opt.command, opt.workload));
+        else if (opt.command == "submit")
+            serve::validateJobSpec(
+                specFromOptions(opt, opt.workload, opt.workload2));
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return kExitUsage;
