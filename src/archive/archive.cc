@@ -270,7 +270,13 @@ RunArchive::load(const EntrySummary &summary) const
 Entry
 RunArchive::resolve(const std::string &ref) const
 {
-    ScanResult scanned = scan();
+    return resolve(scan(), ref);
+}
+
+Entry
+RunArchive::resolve(const ScanResult &scanned,
+                    const std::string &ref) const
+{
     const auto &entries = scanned.entries;
     if (entries.empty())
         fatal("archive %s holds no usable entries", dir_.c_str());

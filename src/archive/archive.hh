@@ -148,6 +148,13 @@ class RunArchive
     Entry resolve(const std::string &ref) const;
 
     /**
+     * Resolve a ref against an earlier scan() of this archive, so a
+     * query naming two refs checks every entry once, not twice.
+     */
+    Entry resolve(const ScanResult &scanned,
+                  const std::string &ref) const;
+
+    /**
      * Delete all but the newest `keep` valid entries (their `.bak`
      * files included), under the archive lock. Quarantined files are
      * kept for forensics.

@@ -926,8 +926,9 @@ runQuery(const QuerySpec &query)
               query.kind.c_str(), query.kind.c_str());
 
     archive::RunArchive ar(query.archiveDir);
-    archive::Entry base = ar.resolve(query.baseRef);
-    archive::Entry cand = ar.resolve(candRef);
+    archive::ScanResult scanned = ar.scan();
+    archive::Entry base = ar.resolve(scanned, query.baseRef);
+    archive::Entry cand = ar.resolve(scanned, candRef);
     auto report = compare::compareEntries(base, cand, cfg);
     report.baselineRef = query.baseRef;
     report.candidateRef = candRef;

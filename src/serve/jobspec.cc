@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "support/logging.hh"
 #include "support/schema.hh"
@@ -34,6 +35,10 @@ intField(const Json &j, const char *key, int64_t min_value)
     if (v < min_value)
         fatal("job spec: %s must be >= %lld, got %lld", key,
               static_cast<long long>(min_value),
+              static_cast<long long>(v));
+    if (v > std::numeric_limits<int>::max())
+        fatal("job spec: %s must be <= %d, got %lld", key,
+              std::numeric_limits<int>::max(),
               static_cast<long long>(v));
     return static_cast<int>(v);
 }

@@ -4,10 +4,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "support/logging.hh"
@@ -17,21 +16,31 @@ namespace rigor {
 
 namespace {
 
-/** Lazily-built CRC-32 lookup table (reflected 0xEDB88320). */
-const std::array<uint32_t, 256> &
-crcTable()
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+/**
+ * Slicing-by-8 tables for the reflected polynomial 0xEDB88320:
+ * t[0] is the classic byte table, and t[k][i] is the CRC of byte i
+ * followed by k zero bytes, so eight bytes fold in with eight
+ * independent lookups.
+ */
+const CrcTables &
+crcTables()
 {
-    static const std::array<uint32_t, 256> table = [] {
-        std::array<uint32_t, 256> t{};
+    static const CrcTables tables = [] {
+        CrcTables t{};
         for (uint32_t i = 0; i < 256; ++i) {
             uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+            t[0][i] = c;
         }
+        for (size_t k = 1; k < 8; ++k)
+            for (size_t i = 0; i < 256; ++i)
+                t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
         return t;
     }();
-    return table;
+    return tables;
 }
 
 } // namespace
@@ -39,11 +48,19 @@ crcTable()
 uint32_t
 crc32(const void *data, size_t len)
 {
-    const auto &table = crcTable();
+    const auto &t = crcTables();
     const auto *p = static_cast<const unsigned char *>(data);
     uint32_t c = 0xFFFFFFFFu;
-    for (size_t i = 0; i < len; ++i)
-        c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+    for (; len >= 8; p += 8, len -= 8) {
+        // Bytes are read one at a time, so this is endian-neutral.
+        uint32_t lo = c ^ (uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+                           uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24);
+        c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+            t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+    }
+    for (; len > 0; ++p, --len)
+        c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
@@ -186,14 +203,39 @@ atomicWriteFile(const std::string &path, const std::string &content)
 bool
 readFile(const std::string &path, std::string &out)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
+    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return false;
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    if (is.bad())
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+        ::close(fd);
         return false;
-    out = buf.str();
+    }
+    // The size is only a first guess: /proc files report 0, and a
+    // file may grow while it is read. One spare byte lets a file
+    // that kept its size end on a zero-length read without growing
+    // the buffer.
+    size_t guess =
+        st.st_size > 0 ? static_cast<size_t>(st.st_size) + 1 : 4096;
+    std::string buf(guess, '\0');
+    size_t len = 0;
+    for (;;) {
+        if (len == buf.size())
+            buf.resize(buf.size() * 2);
+        ssize_t n = ::read(fd, buf.data() + len, buf.size() - len);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0) {
+            ::close(fd);
+            return false;
+        }
+        if (n == 0)
+            break;
+        len += static_cast<size_t>(n);
+    }
+    ::close(fd);
+    buf.resize(len);
+    out = std::move(buf);
     return true;
 }
 
@@ -244,7 +286,7 @@ verifyEnvelope(const std::string &text, Json *payload,
         *why = "missing crc32";
         return false;
     }
-    const Json *body = doc.get("payload");
+    Json *body = doc.get("payload");
     if (!body) {
         *why = "missing payload";
         return false;
@@ -267,7 +309,7 @@ verifyEnvelope(const std::string &text, Json *payload,
         return false;
     }
     if (payload)
-        *payload = *body;
+        *payload = std::move(*body);
     return true;
 }
 

@@ -1,15 +1,34 @@
 #include "support/json.hh"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
+#include <new>
 #include <system_error>
+#include <type_traits>
 
 #include "support/logging.hh"
 
 namespace rigor {
+
+static_assert(std::is_nothrow_move_constructible_v<Json>,
+              "vectors of Json must grow by moving");
+static_assert(sizeof(Json) <= 40, "Json is a small tagged union");
+
+namespace {
+
+/** Members are kept sorted by key; find where `key` is or belongs. */
+template <typename Members>
+auto
+lowerBound(Members &obj, std::string_view key)
+{
+    return std::lower_bound(
+        obj.begin(), obj.end(), key,
+        [](const auto &m, std::string_view k) { return m.first < k; });
+}
+
+} // namespace
 
 Json::Json(uint64_t u)
     : type_(Type::Int)
@@ -19,11 +38,77 @@ Json::Json(uint64_t u)
     intVal = static_cast<int64_t>(u);
 }
 
+void
+Json::constructFrom(const Json &other)
+{
+    type_ = other.type_;
+    switch (type_) {
+      case Type::Null: intVal = 0; break;
+      case Type::Bool: boolVal = other.boolVal; break;
+      case Type::Int: intVal = other.intVal; break;
+      case Type::Double: dblVal = other.dblVal; break;
+      case Type::String: new (&strVal) std::string(other.strVal); break;
+      case Type::Array: new (&arr) Array(other.arr); break;
+      case Type::Object: new (&obj) Object(other.obj); break;
+    }
+}
+
+void
+Json::constructFrom(Json &&other) noexcept
+{
+    type_ = other.type_;
+    switch (type_) {
+      case Type::Null: intVal = 0; break;
+      case Type::Bool: boolVal = other.boolVal; break;
+      case Type::Int: intVal = other.intVal; break;
+      case Type::Double: dblVal = other.dblVal; break;
+      case Type::String:
+        new (&strVal) std::string(std::move(other.strVal));
+        break;
+      case Type::Array: new (&arr) Array(std::move(other.arr)); break;
+      case Type::Object: new (&obj) Object(std::move(other.obj)); break;
+    }
+}
+
+void
+Json::destroy() noexcept
+{
+    switch (type_) {
+      case Type::String: strVal.~basic_string(); break;
+      case Type::Array: arr.~Array(); break;
+      case Type::Object: obj.~Object(); break;
+      default: break;
+    }
+    type_ = Type::Null;
+}
+
+Json &
+Json::operator=(const Json &other)
+{
+    if (this != &other)
+        *this = Json(other);
+    return *this;
+}
+
+Json &
+Json::operator=(Json &&other) noexcept
+{
+    if (this != &other) {
+        // `other` may live inside this value (v = v.member): take its
+        // contents before destroying ours.
+        Json taken(std::move(other));
+        destroy();
+        constructFrom(std::move(taken));
+    }
+    return *this;
+}
+
 Json
 Json::array()
 {
     Json j;
     j.type_ = Type::Array;
+    new (&j.arr) Array();
     return j;
 }
 
@@ -32,6 +117,7 @@ Json::object()
 {
     Json j;
     j.type_ = Type::Object;
+    new (&j.obj) Object();
     return j;
 }
 
@@ -44,19 +130,30 @@ Json::push(Json v)
 }
 
 void
-Json::set(const std::string &key, Json v)
+Json::set(std::string key, Json v)
 {
     if (type_ != Type::Object)
         panic("Json::set on non-object");
-    obj[key] = std::move(v);
+    // Writers and the parser mostly add keys in order: append.
+    if (obj.empty() || obj.back().first < key) {
+        obj.emplace_back(std::move(key), std::move(v));
+        return;
+    }
+    auto it = lowerBound(obj, key);
+    if (it != obj.end() && it->first == key)
+        it->second = std::move(v);
+    else
+        obj.emplace(it, std::move(key), std::move(v));
 }
 
 void
-Json::erase(const std::string &key)
+Json::erase(std::string_view key)
 {
     if (type_ != Type::Object)
         panic("Json::erase on non-object");
-    obj.erase(key);
+    auto it = lowerBound(obj, key);
+    if (it != obj.end() && it->first == key)
+        obj.erase(it);
 }
 
 size_t
@@ -80,29 +177,35 @@ Json::at(size_t idx) const
 }
 
 const Json &
-Json::at(const std::string &key) const
+Json::at(std::string_view key) const
 {
     if (type_ != Type::Object)
         panic("Json::at(key) on non-object");
-    auto it = obj.find(key);
-    if (it == obj.end())
-        panic("Json::at: missing key '%s'", key.c_str());
-    return it->second;
+    const Json *v = get(key);
+    if (!v)
+        panic("Json::at: missing key '%s'", std::string(key).c_str());
+    return *v;
 }
 
 bool
-Json::has(const std::string &key) const
+Json::has(std::string_view key) const
 {
-    return type_ == Type::Object && obj.count(key) > 0;
+    return get(key) != nullptr;
 }
 
 const Json *
-Json::get(const std::string &key) const
+Json::get(std::string_view key) const
 {
     if (type_ != Type::Object)
         return nullptr;
-    auto it = obj.find(key);
-    return it == obj.end() ? nullptr : &it->second;
+    auto it = lowerBound(obj, key);
+    return it != obj.end() && it->first == key ? &it->second : nullptr;
+}
+
+Json *
+Json::get(std::string_view key)
+{
+    return const_cast<Json *>(std::as_const(*this).get(key));
 }
 
 std::vector<std::string>
@@ -112,8 +215,8 @@ Json::keys() const
         panic("Json::keys on non-object");
     std::vector<std::string> out;
     out.reserve(obj.size());
-    for (const auto &[k, v] : obj)
-        out.push_back(k);
+    for (const auto &m : obj)
+        out.push_back(m.first);
     return out;
 }
 
@@ -156,24 +259,31 @@ namespace {
 void
 escapeInto(std::string &out, const std::string &s)
 {
+    static const char hex[] = "0123456789abcdef";
     out += '"';
-    for (char c : s) {
+    // Bytes that need no escape are copied a run at a time.
+    const char *run = s.data();
+    const char *end = run + s.size();
+    for (const char *p = run; p != end; ++p) {
+        auto c = static_cast<unsigned char>(*p);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(run, static_cast<size_t>(p - run));
+        run = p + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
           case '\t': out += "\\t"; break;
           case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+            const char esc[] = {'\\', 'u', '0', '0', hex[c >> 4],
+                                hex[c & 0xf]};
+            out.append(esc, sizeof(esc));
+          }
         }
     }
+    out.append(run, static_cast<size_t>(end - run));
     out += '"';
 }
 
@@ -198,16 +308,23 @@ Json::dumpTo(std::string &out, int indent, int depth) const
       case Type::Bool:
         out += boolVal ? "true" : "false";
         break;
-      case Type::Int:
-        out += std::to_string(intVal);
+      case Type::Int: {
+        char buf[24];
+        auto r = std::to_chars(buf, buf + sizeof(buf), intVal);
+        out.append(buf, static_cast<size_t>(r.ptr - buf));
         break;
+      }
       case Type::Double: {
-        if (std::isnan(dblVal) || std::isinf(dblVal)) {
+        if (!std::isfinite(dblVal)) {
             out += "null";
         } else {
+            // The standard defines to_chars(general, 17) as printf's
+            // "%.17g" in the C locale: the same bytes, whatever
+            // LC_NUMERIC says.
             char buf[64];
-            std::snprintf(buf, sizeof(buf), "%.17g", dblVal);
-            out += buf;
+            auto r = std::to_chars(buf, buf + sizeof(buf), dblVal,
+                                   std::chars_format::general, 17);
+            out.append(buf, static_cast<size_t>(r.ptr - buf));
         }
         break;
       }
@@ -282,11 +399,24 @@ class Parser
         fatal("JSON parse error at offset %zu: %s", pos, what);
     }
 
+    /** The six bytes C-locale isspace() accepts, whatever the locale. */
+    static bool
+    isSpace(char c)
+    {
+        return c == ' ' || c == '\n' || c == '\t' || c == '\r' ||
+            c == '\v' || c == '\f';
+    }
+
+    static bool
+    isDigit(char c)
+    {
+        return c >= '0' && c <= '9';
+    }
+
     void
     skipWs()
     {
-        while (pos < s.size() &&
-               std::isspace(static_cast<unsigned char>(s[pos])))
+        while (pos < s.size() && isSpace(s[pos]))
             ++pos;
     }
 
@@ -307,14 +437,21 @@ class Parser
     }
 
     bool
-    consumeLiteral(const char *lit)
+    consumeLiteral(std::string_view lit)
     {
-        size_t n = std::char_traits<char>::length(lit);
-        if (s.compare(pos, n, lit) == 0) {
-            pos += n;
+        if (s.compare(pos, lit.size(), lit) == 0) {
+            pos += lit.size();
             return true;
         }
         return false;
+    }
+
+    /** Enter an array or object; bounds the recursion. */
+    void
+    descend()
+    {
+        if (++depth > Json::kMaxDepth)
+            fail("nesting deeper than the limit");
     }
 
     Json
@@ -328,12 +465,14 @@ class Parser
             return parseArray();
         if (c == '"')
             return Json(parseString());
-        if (consumeLiteral("true"))
-            return Json(true);
-        if (consumeLiteral("false"))
-            return Json(false);
-        if (consumeLiteral("null"))
-            return Json();
+        if (c != '-' && !isDigit(c)) {
+            if (consumeLiteral("true"))
+                return Json(true);
+            if (consumeLiteral("false"))
+                return Json(false);
+            if (consumeLiteral("null"))
+                return Json();
+        }
         return parseNumber();
     }
 
@@ -343,50 +482,50 @@ class Parser
         expect('"');
         std::string out;
         for (;;) {
+            // Copy the run up to the next quote or escape in one go.
+            size_t run = pos;
+            while (pos < s.size() && s[pos] != '"' && s[pos] != '\\')
+                ++pos;
+            out.append(s, run, pos - run);
             if (pos >= s.size())
                 fail("unterminated string");
-            char c = s[pos++];
-            if (c == '"')
+            if (s[pos++] == '"')
                 return out;
-            if (c == '\\') {
-                if (pos >= s.size())
-                    fail("bad escape");
-                char e = s[pos++];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'r': out += '\r'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'u': {
-                    if (pos + 4 > s.size())
-                        fail("bad \\u escape");
-                    unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        char h = s[pos++];
-                        code <<= 4;
-                        if (h >= '0' && h <= '9')
-                            code |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            code |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            code |= static_cast<unsigned>(h - 'A' + 10);
-                        else
-                            fail("bad hex digit");
-                    }
-                    if (code > 0x7f)
-                        fail("non-ASCII \\u escape unsupported");
-                    out += static_cast<char>(code);
-                    break;
-                  }
-                  default:
-                    fail("unknown escape");
+            if (pos >= s.size())
+                fail("bad escape");
+            char e = s[pos++];
+            switch (e) {
+              case '"': out += '"'; break;
+              case '\\': out += '\\'; break;
+              case '/': out += '/'; break;
+              case 'n': out += '\n'; break;
+              case 't': out += '\t'; break;
+              case 'r': out += '\r'; break;
+              case 'b': out += '\b'; break;
+              case 'f': out += '\f'; break;
+              case 'u': {
+                if (pos + 4 > s.size())
+                    fail("bad \\u escape");
+                unsigned code = 0;
+                for (int i = 0; i < 4; ++i) {
+                    char h = s[pos++];
+                    code <<= 4;
+                    if (h >= '0' && h <= '9')
+                        code |= static_cast<unsigned>(h - '0');
+                    else if (h >= 'a' && h <= 'f')
+                        code |= static_cast<unsigned>(h - 'a' + 10);
+                    else if (h >= 'A' && h <= 'F')
+                        code |= static_cast<unsigned>(h - 'A' + 10);
+                    else
+                        fail("bad hex digit");
                 }
-            } else {
-                out += c;
+                if (code > 0x7f)
+                    fail("non-ASCII \\u escape unsupported");
+                out += static_cast<char>(code);
+                break;
+              }
+              default:
+                fail("unknown escape");
             }
         }
     }
@@ -400,7 +539,7 @@ class Parser
         bool isDouble = false;
         while (pos < s.size()) {
             char c = s[pos];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
+            if (isDigit(c)) {
                 ++pos;
             } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
                        c == '-') {
@@ -422,8 +561,13 @@ class Parser
         if (!isDouble) {
             int64_t iv = 0;
             auto [p, ec] = std::from_chars(first, last, iv);
-            if (ec == std::errc() && p == last)
+            if (ec == std::errc() && p == last) {
+                // "-0" is how a negative-zero double is written: keep
+                // it one, so it dumps back to the same bytes.
+                if (iv == 0 && *first == '-')
+                    return Json(-0.0);
                 return Json(iv);
+            }
             if (ec != std::errc::result_out_of_range && p != last)
                 fail("malformed number");
             // Out-of-int64-range integer literal: fall through and
@@ -442,10 +586,12 @@ class Parser
     parseArray()
     {
         expect('[');
+        descend();
         Json out = Json::array();
         skipWs();
         if (peek() == ']') {
             ++pos;
+            --depth;
             return out;
         }
         for (;;) {
@@ -453,8 +599,10 @@ class Parser
             skipWs();
             char c = peek();
             ++pos;
-            if (c == ']')
+            if (c == ']') {
+                --depth;
                 return out;
+            }
             if (c != ',')
                 fail("expected ',' or ']'");
         }
@@ -464,10 +612,12 @@ class Parser
     parseObject()
     {
         expect('{');
+        descend();
         Json out = Json::object();
         skipWs();
         if (peek() == '}') {
             ++pos;
+            --depth;
             return out;
         }
         for (;;) {
@@ -475,12 +625,14 @@ class Parser
             std::string key = parseString();
             skipWs();
             expect(':');
-            out.set(key, parseValue());
+            out.set(std::move(key), parseValue());
             skipWs();
             char c = peek();
             ++pos;
-            if (c == '}')
+            if (c == '}') {
+                --depth;
                 return out;
+            }
             if (c != ',')
                 fail("expected ',' or '}'");
         }
@@ -488,6 +640,7 @@ class Parser
 
     const std::string &s;
     size_t pos;
+    int depth = 0;
 };
 
 } // namespace

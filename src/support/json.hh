@@ -11,21 +11,35 @@
 #define RIGOR_SUPPORT_JSON_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace rigor {
 
-/** A JSON value: null, bool, int, double, string, array or object. */
+/**
+ * A JSON value: null, bool, int, double, string, array or object.
+ *
+ * A small tagged union (40 bytes). Objects are a vector of members
+ * kept sorted by key, so iteration, and therefore dump(), visits keys
+ * in `std::string` order: the canonical form every CRC and
+ * fingerprint hashes (DESIGN.md decision 8).
+ */
 class Json
 {
   public:
     enum class Type { Null, Bool, Int, Double, String, Array, Object };
 
+    /**
+     * Deepest array/object nesting parse() accepts. Far above
+     * anything the tool writes; it bounds the parser's recursion so a
+     * hostile document is a parse error instead of a stack overflow.
+     */
+    static constexpr int kMaxDepth = 512;
+
     /** Construct null. */
-    Json() : type_(Type::Null) {}
+    Json() : type_(Type::Null), intVal(0) {}
     /** Construct a boolean. */
     Json(bool b) : type_(Type::Bool), boolVal(b) {}
     /** Construct an integer. */
@@ -41,6 +55,17 @@ class Json
     /** Construct a string from a literal. */
     Json(const char *s) : type_(Type::String), strVal(s) {}
 
+    Json(const Json &other) { constructFrom(other); }
+    Json(Json &&other) noexcept { constructFrom(std::move(other)); }
+    Json &operator=(const Json &other);
+    Json &operator=(Json &&other) noexcept;
+    ~Json()
+    {
+        // String, Array and Object, the last three types, own memory.
+        if (type_ >= Type::String)
+            destroy();
+    }
+
     /** Make an empty array. */
     static Json array();
     /** Make an empty object. */
@@ -51,26 +76,31 @@ class Json
 
     /** Append to an array (panics if not an array). */
     void push(Json v);
-    /** Set an object key (panics if not an object). */
-    void set(const std::string &key, Json v);
+    /**
+     * Set an object key, replacing any previous value (panics if not
+     * an object).
+     */
+    void set(std::string key, Json v);
     /** Remove an object key if present (panics if not an object). */
-    void erase(const std::string &key);
+    void erase(std::string_view key);
 
     /** Array/object size. */
     size_t size() const;
     /** Array element access (panics on type/range errors). */
     const Json &at(size_t idx) const;
     /** Object member access (panics if missing). */
-    const Json &at(const std::string &key) const;
+    const Json &at(std::string_view key) const;
     /** True if object has the key. */
-    bool has(const std::string &key) const;
+    bool has(std::string_view key) const;
     /**
      * Object member lookup for optional fields: nullptr when the key
      * is absent or this value is not an object. Lets readers of
      * evolving documents (run archives, suite resume state) accept
      * older files that predate a field.
      */
-    const Json *get(const std::string &key) const;
+    const Json *get(std::string_view key) const;
+    /** Mutable lookup, e.g. to move a member out of a parsed document. */
+    Json *get(std::string_view key);
     /**
      * Object keys in canonical (sorted) order; panics on non-objects.
      * Used by readers of open-ended maps, e.g. restoring a metrics
@@ -87,20 +117,32 @@ class Json
     /** Serialize; indent < 0 means compact single-line output. */
     std::string dump(int indent = -1) const;
 
-    /** Parse a JSON document; throws FatalError on malformed input. */
+    /**
+     * Parse a JSON document; throws FatalError on malformed input,
+     * including nesting deeper than kMaxDepth.
+     */
     static Json parse(const std::string &text);
 
   private:
+    using Array = std::vector<Json>;
+    using Member = std::pair<std::string, Json>;
+    using Object = std::vector<Member>;
+
+    void constructFrom(const Json &other);
+    void constructFrom(Json &&other) noexcept;
+    void destroy() noexcept;
     void dumpTo(std::string &out, int indent, int depth) const;
 
     Type type_;
-    bool boolVal = false;
-    int64_t intVal = 0;
-    double dblVal = 0.0;
-    std::string strVal;
-    std::vector<Json> arr;
-    // std::map keeps key order deterministic, which keeps dumps diffable.
-    std::map<std::string, Json> obj;
+    // Exactly the member type_ names is alive.
+    union {
+        bool boolVal;
+        int64_t intVal;
+        double dblVal;
+        std::string strVal;
+        Array arr;
+        Object obj;
+    };
 };
 
 } // namespace rigor

@@ -153,6 +153,59 @@ TEST(Archive, ResolvesHeadIdAndLabelRefs)
     EXPECT_THROW(ar.resolve("no-such-label"), FatalError);
 }
 
+/** Both forms of resolve agree on every ref form and every error. */
+TEST(Archive, ResolveAgainstOneScanMatchesResolve)
+{
+    ScratchDir scratch;
+    RunArchive ar(scratch.dir());
+    ar.append(makeConfig(1), "baseline", "run",
+              {makeRun("sieve", 1.0)});
+    ar.append(makeConfig(2), "", "run", {makeRun("sieve", 1.1)});
+    ar.append(makeConfig(3), "baseline", "run",
+              {makeRun("sieve", 1.2)});
+    ScanResult scanned = ar.scan();
+
+    for (const char *ref : {"HEAD", "HEAD~0", "HEAD~1", "HEAD~2", "1",
+                            "3", "baseline"}) {
+        Entry viaScan = ar.resolve(scanned, ref);
+        Entry direct = ar.resolve(ref);
+        EXPECT_EQ(viaScan.summary.id, direct.summary.id) << ref;
+        EXPECT_EQ(viaScan.summary.path, direct.summary.path) << ref;
+        EXPECT_EQ(viaScan.config.dump(), direct.config.dump()) << ref;
+    }
+    for (const char *ref : {"HEAD~3", "7", "no-such-label", "HEAD~x"}) {
+        std::string viaScan, direct;
+        try {
+            ar.resolve(scanned, ref);
+        } catch (const FatalError &e) {
+            viaScan = e.what();
+        }
+        try {
+            ar.resolve(ref);
+        } catch (const FatalError &e) {
+            direct = e.what();
+        }
+        EXPECT_FALSE(direct.empty()) << ref;
+        EXPECT_EQ(viaScan, direct) << ref;
+    }
+
+    ScratchDir emptyDir;
+    RunArchive empty(emptyDir.dir());
+    std::string viaScan, direct;
+    try {
+        empty.resolve(empty.scan(), "HEAD");
+    } catch (const FatalError &e) {
+        viaScan = e.what();
+    }
+    try {
+        empty.resolve("HEAD");
+    } catch (const FatalError &e) {
+        direct = e.what();
+    }
+    EXPECT_FALSE(direct.empty());
+    EXPECT_EQ(viaScan, direct);
+}
+
 TEST(Archive, EmptyArchiveAndEmptyAppendAreLoudErrors)
 {
     ScratchDir scratch;

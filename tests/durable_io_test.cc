@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the durable I/O layer: CRC-32 against known vectors,
- * atomic whole-file replacement, the checksummed/versioned state
- * envelope, backup rotation, and corruption recovery (truncated,
+ * Tests for the durable I/O layer: CRC-32 against known vectors and
+ * a bytewise reference, whole-file reads, atomic whole-file
+ * replacement, the checksummed/versioned state envelope, backup
+ * rotation, and corruption recovery (truncated,
  * checksum-mismatched and version-mismatched files must fall back to
  * the .bak copy, and fail loudly when no copy is usable).
  */
@@ -13,11 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "support/durable_io.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
+#include "support/rng.hh"
 
 namespace rigor {
 namespace {
@@ -71,6 +74,77 @@ TEST(Crc32, KnownVectors)
     EXPECT_EQ(crc32(std::string("a")), 0xE8B7BE43u);
 }
 
+/** The textbook byte-at-a-time loop, as the reference. */
+uint32_t
+crc32Bytewise(const unsigned char *p, size_t n)
+{
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBytewiseAtEveryLengthAndAlignment)
+{
+    alignas(8) unsigned char buf[8 + 257];
+    Rng rng(0xc3c3ULL);
+    for (auto &b : buf)
+        b = static_cast<unsigned char>(rng.nextBounded(256));
+    for (size_t align = 0; align < 8; ++align)
+        for (size_t len = 0; len <= 257; ++len)
+            ASSERT_EQ(crc32(buf + align, len),
+                      crc32Bytewise(buf + align, len))
+                << "align " << align << " len " << len;
+}
+
+TEST(ReadFile, EmptyFile)
+{
+    ScratchDir dir;
+    std::string p = dir.path("empty");
+    atomicWriteFile(p, "");
+    std::string got = "stale";
+    ASSERT_TRUE(readFile(p, got));
+    EXPECT_EQ(got, "");
+}
+
+TEST(ReadFile, LargeFileIsReadWhole)
+{
+    ScratchDir dir;
+    std::string p = dir.path("large");
+    Rng rng(0x1a1aULL);
+    std::string content(200 * 1024 + 3, '\0');
+    for (char &c : content)
+        c = static_cast<char>(rng.nextBounded(256));
+    atomicWriteFile(p, content);
+    std::string got;
+    ASSERT_TRUE(readFile(p, got));
+    EXPECT_EQ(got.size(), content.size());
+    EXPECT_TRUE(got == content);
+}
+
+TEST(ReadFile, MissingPathFails)
+{
+    std::string got;
+    EXPECT_FALSE(readFile("/nonexistent-dir-xyz/f.txt", got));
+}
+
+// /proc files report st_size 0 but have content: the reader must not
+// trust the size for anything but a first guess.
+TEST(ReadFile, ProcFileWithZeroSizeIsReadWhole)
+{
+    const char *p = "/proc/self/status";
+    struct stat st;
+    if (::stat(p, &st) != 0 || st.st_size != 0)
+        GTEST_SKIP() << p << " is unavailable or reports a size";
+    std::string got;
+    ASSERT_TRUE(readFile(p, got));
+    EXPECT_NE(got.find("Name:"), std::string::npos);
+    EXPECT_EQ(got.back(), '\n');
+}
+
 TEST(AtomicWrite, WritesAndReplaces)
 {
     ScratchDir dir;
@@ -106,6 +180,18 @@ TEST(StateFile, RoundTrip)
     StateLoad load = loadStateFile(p);
     EXPECT_FALSE(load.usedBackup);
     EXPECT_EQ(load.payload.dump(), samplePayload(1).dump());
+}
+
+TEST(StateFile, NegativeZeroPayloadVerifies)
+{
+    ScratchDir dir;
+    std::string p = dir.path("state.json");
+    Json payload = samplePayload(1);
+    payload.set("neg_zero", -0.0);
+    writeStateFile(p, payload);
+    StateLoad load = loadStateFile(p);
+    EXPECT_FALSE(load.usedBackup);
+    EXPECT_EQ(load.payload.dump(), payload.dump());
 }
 
 TEST(StateFile, RotatesBackupOnRewrite)

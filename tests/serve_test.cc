@@ -144,6 +144,16 @@ TEST(JobSpec, RejectsUnknownCommandAndBadCheckpoint)
     suite.command = "suite";
     suite.checkpointEvery = 4;
     EXPECT_NO_THROW(jobSpecFromJson(jobSpecToJson(suite)));
+
+    // Counts past INT_MAX used to wrap silently into a small int.
+    Json huge = jobSpecToJson(suite);
+    huge.set("invocations", int64_t{1} << 32);
+    EXPECT_THROW(jobSpecFromJson(huge), FatalError);
+    QuerySpec q;
+    q.archiveDir = "/tmp/arch";
+    Json hugeQuery = querySpecToJson(q);
+    hugeQuery.set("resamples", (int64_t{1} << 32) + 500);
+    EXPECT_THROW(querySpecFromJson(hugeQuery), FatalError);
 }
 
 /** Connect to the daemon at `path`, retrying while it starts. */
@@ -519,6 +529,51 @@ TEST(ServeDaemon, OverLongLineIsRejectedAndOthersStillServed)
         Json resp = Json::parse(line);
         EXPECT_TRUE(resp.at("ok").asBool()) << line;
         EXPECT_EQ(resp.at("op").asString(), "hello");
+    }
+    drainDaemon(cfg.socketPath);
+    daemon.join();
+    EXPECT_EQ(serverRc, kExitSuccess);
+}
+
+/**
+ * A request line nested far deeper than any document the tool writes
+ * is an ordinary protocol error, not a stack overflow on the
+ * connection thread: the same connection and the next client are
+ * still served.
+ */
+TEST(ServeDaemon, DeeplyNestedRequestIsRejectedAndOthersStillServed)
+{
+    ScratchDir tmp;
+    ServerConfig cfg;
+    cfg.socketPath = tmp.dir() + "/serve.sock";
+    cfg.stateDir = tmp.dir() + "/state";
+    int serverRc = -1;
+    std::thread daemon([&] { serverRc = runServer(cfg); });
+
+    std::string line;
+    {
+        int fd = dialDaemon(cfg.socketPath);
+        ASSERT_GE(fd, 0) << "daemon never listened";
+        LineChannel ch(fd);
+        ASSERT_TRUE(ch.writeLine(std::string(kMaxRequestLineBytes / 4, '[')));
+        ASSERT_TRUE(ch.readLine(line));
+        Json err = Json::parse(line);
+        EXPECT_FALSE(err.at("ok").asBool());
+        EXPECT_EQ(err.at("error").asString(), "protocol-error");
+        EXPECT_NE(err.at("message").asString().find("nesting"),
+                  std::string::npos)
+            << line;
+        ASSERT_TRUE(ch.writeLine(makeRequest("hello").dump()));
+        ASSERT_TRUE(ch.readLine(line));
+        EXPECT_TRUE(Json::parse(line).at("ok").asBool()) << line;
+    }
+    {
+        int fd = dialDaemon(cfg.socketPath);
+        ASSERT_GE(fd, 0);
+        LineChannel ch(fd);
+        ASSERT_TRUE(ch.writeLine(makeRequest("hello").dump()));
+        ASSERT_TRUE(ch.readLine(line));
+        EXPECT_TRUE(Json::parse(line).at("ok").asBool()) << line;
     }
     drainDaemon(cfg.socketPath);
     daemon.join();

@@ -174,8 +174,9 @@ TEST(Json, ParseErrors)
 // Regression: number parsing used std::stod, which honors LC_NUMERIC.
 // Under a comma-decimal locale (de_DE, fr_FR, ...) "1.5" stopped at
 // the '.' and silently parsed as 1.0. std::from_chars is
-// locale-independent, so parsing must now agree byte for byte with
-// the "C" locale whatever the process locale is.
+// locale-independent, so parsing (and, through std::to_chars,
+// writing) must agree byte for byte with the "C" locale whatever the
+// process locale is.
 TEST(Json, NumberParsingIsLocaleIndependent)
 {
     const char *candidates[] = {"de_DE.UTF-8", "de_DE.utf8", "de_DE",
@@ -194,7 +195,13 @@ TEST(Json, NumberParsingIsLocaleIndependent)
         GTEST_SKIP() << applied << " does not use ',' decimals";
     }
     Json parsed = Json::parse("[1.5, -0.25, 6.02e23]");
+    // Writing is locale-independent too: printf's %g would print
+    // "1,5" here, which is not JSON.
+    std::string written = Json(1.5).dump();
+    std::string array = parsed.dump();
     std::setlocale(LC_ALL, "C");
+    EXPECT_EQ(written, "1.5");
+    EXPECT_EQ(array, "[1.5,-0.25,6.02e+23]");
     EXPECT_DOUBLE_EQ(parsed.at(0).asDouble(), 1.5);
     EXPECT_DOUBLE_EQ(parsed.at(1).asDouble(), -0.25);
     EXPECT_DOUBLE_EQ(parsed.at(2).asDouble(), 6.02e23);
@@ -225,6 +232,44 @@ TEST(Json, HugeIntegerLiteralFallsBackToDouble)
               INT64_MAX);
     EXPECT_EQ(Json::parse("-9223372036854775808").asInt(),
               INT64_MIN);
+}
+
+// Regression: the parser recursed once per '[' or '{' with no limit,
+// so 100 000 of them overflowed the stack. Nesting past the fixed
+// limit is now an ordinary parse error.
+TEST(Json, DeepNestingIsAParseError)
+{
+    const size_t limit = Json::kMaxDepth;
+    std::string atLimit =
+        std::string(limit, '[') + std::string(limit, ']');
+    EXPECT_EQ(Json::parse(atLimit).dump(), atLimit);
+    EXPECT_THROW(Json::parse(std::string(limit + 1, '[') +
+                             std::string(limit + 1, ']')),
+                 FatalError);
+    std::string objects;
+    for (size_t i = 0; i <= limit; ++i)
+        objects += "{\"a\":";
+    objects += "1" + std::string(limit + 1, '}');
+    EXPECT_THROW(Json::parse(objects), FatalError);
+    try {
+        Json::parse(std::string(100000, '['));
+        ADD_FAILURE() << "100 000 nested arrays parsed";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("nesting"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+// "-0" is how a negative-zero double is written; it must read back
+// as one, or a payload holding -0.0 fails its own CRC check.
+TEST(Json, NegativeZeroRoundTrips)
+{
+    EXPECT_EQ(Json(-0.0).dump(), "-0");
+    Json back = Json::parse("-0");
+    EXPECT_EQ(back.type(), Json::Type::Double);
+    EXPECT_EQ(back.dump(), "-0");
+    EXPECT_EQ(Json::parse("0").type(), Json::Type::Int);
 }
 
 TEST(Json, TypeErrorsPanic)
