@@ -307,6 +307,13 @@ speedupFromJson(const Json &s)
     return sp;
 }
 
+/** Resume-state key of kSuiteTiers[t]'s estimate: "<tier>_ms". */
+std::string
+tierMsKey(size_t t)
+{
+    return std::string(vm::tierName(kSuiteTiers[t].tier)) + "_ms";
+}
+
 } // namespace
 
 const SuiteWorkloadState *
@@ -336,12 +343,11 @@ suiteStateToJson(const SuiteState &state)
         j.set("failures", w.failureCount);
         j.set("modelled_ms", w.modelledMs);
         if (!w.failed) {
-            j.set("interp_ms", w.interpMs);
-            j.set("adaptive_ms", w.adaptiveMs);
-            j.set("threaded_ms", w.threadedMs);
-            j.set("speedup", speedupToJson(w.speedup));
-            j.set("threaded_speedup",
-                  speedupToJson(w.threadedSpeedup));
+            for (size_t t = 0; t < kSuiteTierCount; ++t)
+                j.set(tierMsKey(t), w.tierMs[t]);
+            for (size_t t = 1; t < kSuiteTierCount; ++t)
+                j.set(kSuiteTiers[t].speedupKey,
+                      speedupToJson(w.speedups[t - 1]));
         }
         wls.push(std::move(j));
     }
@@ -372,15 +378,15 @@ suiteStateFromJson(const Json &doc)
         if (const Json *ms = j.get("modelled_ms"))
             w.modelledMs = ms->asDouble();
         if (!w.failed) {
-            w.interpMs = j.at("interp_ms").asDouble();
-            w.adaptiveMs = j.at("adaptive_ms").asDouble();
-            // Strict: pre-threaded-tier state files are rejected here
-            // (their measurements cover two tiers, not three; resuming
-            // would record a suite that never measured threaded).
-            w.threadedMs = j.at("threaded_ms").asDouble();
-            w.speedup = speedupFromJson(j.at("speedup"));
-            w.threadedSpeedup =
-                speedupFromJson(j.at("threaded_speedup"));
+            // Strict: a state file that lacks a tier is rejected here
+            // (one from before the threaded tier covers two tiers, not
+            // three; resuming would record a suite that never
+            // measured threaded).
+            for (size_t t = 0; t < kSuiteTierCount; ++t)
+                w.tierMs[t] = j.at(tierMsKey(t)).asDouble();
+            for (size_t t = 1; t < kSuiteTierCount; ++t)
+                w.speedups[t - 1] =
+                    speedupFromJson(j.at(kSuiteTiers[t].speedupKey));
         }
         state.workloads.push_back(std::move(w));
     }

@@ -8,6 +8,7 @@
 #ifndef RIGOR_HARNESS_REPORT_HH
 #define RIGOR_HARNESS_REPORT_HH
 
+#include <array>
 #include <ostream>
 #include <string>
 
@@ -52,6 +53,31 @@ Json runToJson(const RunResult &run);
  */
 RunResult runFromJson(const Json &doc);
 
+/** One tier a suite measures. */
+struct SuiteTier
+{
+    vm::Tier tier;
+    /**
+     * Resume-state key of the speedup over the baseline (null for the
+     * baseline). The keys predate the list, so each is spelled out.
+     */
+    const char *speedupKey;
+};
+
+/**
+ * The tiers a suite measures, in execution order. The first entry is
+ * the baseline every speedup is taken against. The order is part of
+ * the resume-state contract: checkpoints identify the tier in flight
+ * by name, and a resumed process walks this list to find where the
+ * interrupted one stopped.
+ */
+inline constexpr SuiteTier kSuiteTiers[] = {
+    {vm::Tier::Interp, nullptr},
+    {vm::Tier::Adaptive, "speedup"},
+    {vm::Tier::Threaded, "threaded_speedup"},
+};
+inline constexpr size_t kSuiteTierCount = std::size(kSuiteTiers);
+
 /**
  * Per-workload entry of a (possibly partial) suite run. `failed` means
  * no usable estimate exists for the workload; a quarantined or
@@ -67,13 +93,10 @@ struct SuiteWorkloadState
     int failureCount = 0;
     /** Modelled ms spent measuring this workload (all tiers). */
     double modelledMs = 0.0;
-    double interpMs = 0.0;
-    double adaptiveMs = 0.0;
-    double threadedMs = 0.0;
-    /** Adaptive over interp. */
-    SpeedupResult speedup;
-    /** Threaded over interp. */
-    SpeedupResult threadedSpeedup;
+    /** Estimated ms per iteration, one per kSuiteTiers entry. */
+    std::array<double, kSuiteTierCount> tierMs{};
+    /** Speedup over the baseline; [i] is kSuiteTiers[i + 1]'s. */
+    std::array<SpeedupResult, kSuiteTierCount - 1> speedups;
 };
 
 /**

@@ -130,17 +130,8 @@ logTraced(const JobEnv &env, LogLevel level, const char *fmt, ...)
         inform("%s", msg.c_str());
 }
 
-/**
- * The tiers a suite measures, in execution order. The order is part
- * of the resume-state contract: checkpoints identify the tier in
- * flight by name, and a resumed process walks this list to find where
- * the interrupted one stopped.
- */
-constexpr vm::Tier kSuiteTiers[] = {vm::Tier::Interp,
-                                    vm::Tier::Adaptive,
-                                    vm::Tier::Threaded};
-constexpr size_t kSuiteTierCount =
-    sizeof(kSuiteTiers) / sizeof(kSuiteTiers[0]);
+using harness::kSuiteTierCount;
+using harness::kSuiteTiers;
 
 /**
  * The archived configuration: the resume fingerprint plus what it
@@ -159,8 +150,8 @@ archiveConfigJson(const JobSpec &spec)
     if (spec.command == "suite") {
         for (const auto &w : workloads::suite())
             wls.push(w.name);
-        for (vm::Tier tier : kSuiteTiers)
-            tiers.push(vm::tierName(tier));
+        for (const auto &st : kSuiteTiers)
+            tiers.push(vm::tierName(st.tier));
     } else {
         wls.push(spec.workload);
         tiers.push(vm::tierName(spec.tier));
@@ -217,33 +208,27 @@ class SuiteCheckpointer
         : env_(env), state_(state)
     {}
 
-    /** A workload's measurement is starting (no tier in flight yet). */
+    /** A workload's measurement is starting (no tier done yet). */
     void beginWorkload(const std::string &name)
     {
         currentName_ = name;
-        currentTier_.clear();
-        doneTiers_.clear();
+        doneRuns_.clear();
     }
 
-    /** The named tier's run is starting; it is now the one in flight. */
-    void beginTier(vm::Tier tier) { currentTier_ = vm::tierName(tier); }
-
     /**
-     * The in-flight tier's run finished; `run` outlives the
-     * remaining tier runs of this workload.
+     * A tier's run finished; `run` outlives the remaining tier runs
+     * of this workload.
      */
     void setTierDone(const harness::RunResult *run)
     {
-        doneTiers_.emplace_back(vm::tierName(run->tier), run);
-        currentTier_.clear();
+        doneRuns_.push_back(run);
     }
 
     /** The workload finished (or failed); nothing is in flight. */
     void endWorkload()
     {
         currentName_.clear();
-        currentTier_.clear();
-        doneTiers_.clear();
+        doneRuns_.clear();
     }
 
     /** Checkpoint between workloads (after a completed one commits). */
@@ -270,9 +255,10 @@ class SuiteCheckpointer
             // in flight — each under its tier name, so a resumed
             // process can walk kSuiteTiers and find where this one
             // stopped.
-            for (const auto &[tier, run] : doneTiers_)
-                ip.set(tier, harness::runToJson(*run));
-            ip.set(currentTier_, harness::runToJson(*current));
+            for (const harness::RunResult *run : doneRuns_)
+                ip.set(vm::tierName(run->tier), harness::runToJson(*run));
+            ip.set(vm::tierName(current->tier),
+                   harness::runToJson(*current));
             payload.set("in_progress", std::move(ip));
         }
         if (env_.metrics)
@@ -285,11 +271,8 @@ class SuiteCheckpointer
     const JobEnv &env_;
     const harness::SuiteState &state_;
     std::string currentName_;
-    /** Tier name of the run in flight (empty between tier runs). */
-    std::string currentTier_;
-    /** Completed (tier name, run) pairs of the current workload. */
-    std::vector<std::pair<std::string, const harness::RunResult *>>
-        doneTiers_;
+    /** Completed tier runs of the current workload. */
+    std::vector<const harness::RunResult *> doneRuns_;
 };
 
 /** Outcome of measuring (or resuming) one suite workload. */
@@ -317,82 +300,27 @@ suiteRunConfig(const JobEnv &env, vm::Tier tier,
     return cfg;
 }
 
-/** Estimates and bookkeeping once all tier runs are complete. */
+/** Estimates and bookkeeping once every tier's run is complete. */
 void
 finishWorkloadState(harness::SuiteWorkloadState &ws,
-                    const harness::RunResult &interp,
-                    const harness::RunResult &jit,
-                    const harness::RunResult &threaded)
+                    const std::deque<harness::RunResult> &runs)
 {
-    ws.quarantined = interp.quarantined || jit.quarantined ||
-        threaded.quarantined;
-    ws.failureCount = static_cast<int>(interp.failures.size() +
-                                       jit.failures.size() +
-                                       threaded.failures.size());
-    ws.modelledMs = interp.totalModelledMs() + jit.totalModelledMs() +
-        threaded.totalModelledMs();
-    if (interp.invocations.size() < 2 || jit.invocations.size() < 2 ||
-        threaded.invocations.size() < 2) {
+    bool measured = true;
+    for (const auto &r : runs) {
+        ws.quarantined = ws.quarantined || r.quarantined;
+        ws.failureCount += static_cast<int>(r.failures.size());
+        ws.modelledMs += r.totalModelledMs();
+        measured = measured && r.invocations.size() >= 2;
+    }
+    if (!measured) {
         ws.failed = true;
         return;
     }
-    ws.interpMs = harness::rigorousEstimate(interp).ci.estimate;
-    ws.adaptiveMs = harness::rigorousEstimate(jit).ci.estimate;
-    ws.threadedMs = harness::rigorousEstimate(threaded).ci.estimate;
-    ws.speedup = harness::rigorousSpeedup(interp, jit);
-    ws.threadedSpeedup = harness::rigorousSpeedup(interp, threaded);
-}
-
-/**
- * Measure one workload on every suite tier. Degrades gracefully:
- * failures and quarantines are recorded in the returned state instead
- * of propagating, so one broken workload cannot sink the suite.
- */
-SuiteStep
-runSuiteWorkload(const workloads::WorkloadSpec &w, const JobEnv &env,
-                 SuiteCheckpointer *ckpt)
-{
-    SuiteStep step;
-    step.ws.name = w.name;
-    if (ckpt)
-        ckpt->beginWorkload(w.name);
-    try {
-        // Deque, not vector: setTierDone keeps a pointer into the
-        // container, so earlier runs must not move when later tiers
-        // are appended.
-        std::deque<harness::RunResult> runs;
-        for (vm::Tier tier : kSuiteTiers) {
-            if (ckpt)
-                ckpt->beginTier(tier);
-            runs.push_back(harness::runExperiment(
-                w, suiteRunConfig(env, tier, ckpt)));
-            if (runs.back().interrupted) {
-                step.interrupted = true;
-                return step;
-            }
-            if (ckpt)
-                ckpt->setTierDone(&runs.back());
-        }
-        if (ckpt)
-            ckpt->endWorkload();
-        finishWorkloadState(step.ws, runs[0], runs[1], runs[2]);
-        if (!env.spec.archiveDir.empty())
-            for (auto &r : runs)
-                step.runs.push_back(std::move(r));
-    } catch (const FatalError &) {
-        // Infrastructure failure (a checkpoint write died on a full
-        // disk, say), not a workload failure: recording it as
-        // "workload failed" would let the suite carry on without the
-        // durability the user asked for. Abort loudly instead.
-        throw;
-    } catch (const std::exception &e) {
-        if (ckpt)
-            ckpt->endWorkload();
-        logTraced(env, LogLevel::Warn, "workload %s failed: %s",
-                  w.name.c_str(), e.what());
-        step.ws.failed = true;
-    }
-    return step;
+    for (size_t t = 0; t < runs.size(); ++t)
+        ws.tierMs[t] = harness::rigorousEstimate(runs[t]).ci.estimate;
+    for (size_t t = 1; t < runs.size(); ++t)
+        ws.speedups[t - 1] =
+            harness::rigorousSpeedup(runs.front(), runs[t]);
 }
 
 /** A checkpointed run is done once every slot ran (or quarantine). */
@@ -426,51 +354,55 @@ ensureWorkloadSpanOpen(const JobEnv &env,
 }
 
 /**
- * Continue the workload a checkpoint left in flight. The partial
- * run(s) come from the checkpoint's in_progress record; invocation
- * seeds are pure functions of (seed, slot, attempt), so extending the
- * restored run reproduces exactly what the uninterrupted run would
- * have measured — estimates, metrics and trace come out
- * byte-identical.
+ * Measure one workload on every suite tier. `ip`, when given, is the
+ * checkpoint's in_progress record for this workload: its run(s) are
+ * the restored prefix, and the measurement continues where the
+ * interrupted process stopped. Invocation seeds are pure functions of
+ * (seed, slot, attempt), so extending a restored run reproduces
+ * exactly what the uninterrupted run would have measured — estimates,
+ * metrics and trace come out byte-identical.
+ *
+ * Degrades gracefully: failures and quarantines are recorded in the
+ * returned state instead of propagating, so one broken workload
+ * cannot sink the suite.
  */
 SuiteStep
-resumeSuiteWorkload(const workloads::WorkloadSpec &w,
-                    const JobEnv &env, SuiteCheckpointer *ckpt,
-                    const Json &ip)
+runSuiteWorkload(const workloads::WorkloadSpec &w, const JobEnv &env,
+                 SuiteCheckpointer *ckpt, const Json *ip)
 {
     SuiteStep step;
     step.ws.name = w.name;
-    // Deserialize the checkpointed partial run(s) before entering the
+    // Deserialize the checkpointed run(s) before entering the
     // degrade-gracefully region: a record that cannot be restored
     // (e.g. an unknown tier string in a hand-edited file) means the
     // checkpoint itself cannot be trusted, so the resume must abort
     // loudly instead of re-measuring the workload as merely "failed".
     std::array<std::optional<harness::RunResult>, kSuiteTierCount>
         restored;
-    for (size_t i = 0; i < kSuiteTierCount; ++i)
-        if (const Json *tj = ip.get(vm::tierName(kSuiteTiers[i])))
-            restored[i] = harness::runFromJson(*tj);
+    if (ip)
+        for (size_t t = 0; t < kSuiteTierCount; ++t)
+            if (const Json *tj =
+                    ip->get(vm::tierName(kSuiteTiers[t].tier)))
+                restored[t] = harness::runFromJson(*tj);
     if (ckpt)
         ckpt->beginWorkload(w.name);
     try {
-        // Deque for pointer stability, as in runSuiteWorkload.
+        // Deque, not vector: setTierDone keeps a pointer into the
+        // container, so earlier runs must not move when later tiers
+        // are appended.
         std::deque<harness::RunResult> runs;
-        for (size_t i = 0; i < kSuiteTierCount; ++i) {
-            vm::Tier tier = kSuiteTiers[i];
-            if (restored[i]) {
-                runs.push_back(std::move(*restored[i]));
-                auto &run = runs.back();
-                if (!runComplete(run, env.spec)) {
-                    ensureWorkloadSpanOpen(env, w, run);
-                    if (ckpt)
-                        ckpt->beginTier(tier);
-                    harness::resumeExperiment(
-                        w, suiteRunConfig(env, tier, ckpt), run);
-                    if (run.interrupted) {
-                        step.interrupted = true;
-                        return step;
-                    }
-                }
+        for (size_t t = 0; t < kSuiteTierCount; ++t) {
+            vm::Tier tier = kSuiteTiers[t].tier;
+            if (!restored[t]) {
+                runs.push_back(harness::runExperiment(
+                    w, suiteRunConfig(env, tier, ckpt)));
+            } else if (!runComplete(*restored[t], env.spec)) {
+                runs.push_back(std::move(*restored[t]));
+                ensureWorkloadSpanOpen(env, w, runs.back());
+                harness::resumeExperiment(
+                    w, suiteRunConfig(env, tier, ckpt), runs.back());
+            } else {
+                runs.push_back(std::move(*restored[t]));
                 // A restored-complete run still has its workload span
                 // open in the restored trace (the checkpoint fired at
                 // the final commit boundary, before the span closed);
@@ -479,29 +411,29 @@ resumeSuiteWorkload(const workloads::WorkloadSpec &w,
                 // started yet, though: once it has, this tier's span
                 // was closed before the checkpoint and the open span
                 // belongs to the next tier's run.
-                bool nextRestored = i + 1 < kSuiteTierCount &&
-                    restored[i + 1].has_value();
+                bool nextRestored = t + 1 < kSuiteTierCount &&
+                    restored[t + 1].has_value();
                 if (env.trace && !nextRestored)
                     env.trace->endSpansTo(1);
-            } else {
-                if (ckpt)
-                    ckpt->beginTier(tier);
-                runs.push_back(harness::runExperiment(
-                    w, suiteRunConfig(env, tier, ckpt)));
-                if (runs.back().interrupted) {
-                    step.interrupted = true;
-                    return step;
-                }
+            }
+            if (runs.back().interrupted) {
+                step.interrupted = true;
+                return step;
             }
             if (ckpt)
                 ckpt->setTierDone(&runs.back());
         }
         if (ckpt)
             ckpt->endWorkload();
-        finishWorkloadState(step.ws, runs[0], runs[1], runs[2]);
+        finishWorkloadState(step.ws, runs);
+        if (!env.spec.archiveDir.empty())
+            for (auto &r : runs)
+                step.runs.push_back(std::move(r));
     } catch (const FatalError &) {
-        // As in runSuiteWorkload: a dead checkpoint write must stop
-        // the suite, not degrade to a "failed" workload.
+        // Infrastructure failure (a checkpoint write died on a full
+        // disk, say), not a workload failure: recording it as
+        // "workload failed" would let the suite carry on without the
+        // durability the user asked for. Abort loudly instead.
         throw;
     } catch (const std::exception &e) {
         if (ckpt)
@@ -542,7 +474,6 @@ runSuiteJob(JobEnv &env)
 
     std::unique_ptr<SuiteCheckpointer> ckpt;
     Json inProgress;  // null unless a checkpoint left a run in flight
-    bool resuming = false;
     if (!spec.resumePath.empty()) {
         ckpt = std::make_unique<SuiteCheckpointer>(env, state);
         if (stateFileExists(spec.resumePath)) {
@@ -571,7 +502,6 @@ runSuiteJob(JobEnv &env)
                     env.trace->restoreCheckpoint(*t);
             if (const Json *ip = payload.get("in_progress"))
                 inProgress = *ip;
-            resuming = true;
             // Plain inform(), not logTraced(): the bookkeeping
             // message must not land in the trace, or a resumed trace
             // would differ from an uninterrupted one.
@@ -601,8 +531,8 @@ runSuiteJob(JobEnv &env)
     std::vector<harness::RunResult> archiveRuns;
     for (const auto &w : workloads::suite()) {
         ++done;
-        if (resuming && state.find(w.name)) {
-            const auto *ws = state.find(w.name);
+        // Completed by the process this one resumes.
+        if (const auto *ws = state.find(w.name)) {
             modelledMsTotal += ws->modelledMs;
             failuresTotal += ws->failureCount;
             continue;
@@ -614,15 +544,10 @@ runSuiteJob(JobEnv &env)
             interrupted = true;
             break;
         }
-        SuiteStep step;
-        if (!inProgress.isNull() &&
-            inProgress.at("name").asString() == w.name) {
-            Json ip = std::move(inProgress);
-            inProgress = Json();
-            step = resumeSuiteWorkload(w, env, ckpt.get(), ip);
-        } else {
-            step = runSuiteWorkload(w, env, ckpt.get());
-        }
+        bool continues = !inProgress.isNull() &&
+            inProgress.at("name").asString() == w.name;
+        SuiteStep step = runSuiteWorkload(
+            w, env, ckpt.get(), continues ? &inProgress : nullptr);
         if (step.interrupted) {
             // The final checkpoint was already written at the commit
             // boundary that observed the interrupt (with the partial
@@ -658,44 +583,56 @@ runSuiteJob(JobEnv &env)
     if (env.trace)
         env.trace->endSpansTo(0);
 
-    Table t({"benchmark", "interp ms", "adaptive ms", "threaded ms",
-             "adaptive speedup (95% CI)", "sig",
-             "threaded speedup (95% CI)", "sig"});
-    std::vector<harness::SpeedupResult> speedups;
-    std::vector<harness::SpeedupResult> threadedSpeedups;
+    // One estimate column per tier, then each tier's speedup over the
+    // baseline with its significance.
+    std::vector<std::string> header = {"benchmark"};
+    for (const auto &st : kSuiteTiers)
+        header.push_back(std::string(vm::tierName(st.tier)) + " ms");
+    for (size_t i = 1; i < kSuiteTierCount; ++i)
+        header.insert(header.end(),
+                      {std::string(vm::tierName(kSuiteTiers[i].tier)) +
+                           " speedup (95% CI)",
+                       "sig"});
+    Table t(header);
+    std::array<std::vector<harness::SpeedupResult>, kSuiteTierCount - 1>
+        speedups;
+    int measured = 0;
     int degraded = 0;
     for (const auto &w : workloads::suite()) {
         const auto *ws = state.find(w.name);
         if (!ws)
             continue;
+        std::vector<std::string> row = {ws->name};
         if (ws->failed) {
-            t.addRow({ws->name, "-", "-", "-",
-                      ws->quarantined ? "(quarantined)" : "(failed)",
-                      "-", "-", "-"});
+            row.resize(header.size(), "-");
+            row[1 + kSuiteTierCount] =
+                ws->quarantined ? "(quarantined)" : "(failed)";
+            t.addRow(row);
             ++degraded;
             continue;
         }
-        speedups.push_back(ws->speedup);
-        threadedSpeedups.push_back(ws->threadedSpeedup);
-        t.addRow({ws->name, fmtDouble(ws->interpMs, 4),
-                  fmtDouble(ws->adaptiveMs, 4),
-                  fmtDouble(ws->threadedMs, 4),
-                  harness::formatCi(ws->speedup.ci, 2),
-                  ws->speedup.significant ? "y" : "n",
-                  harness::formatCi(ws->threadedSpeedup.ci, 2),
-                  ws->threadedSpeedup.significant ? "y" : "n"});
+        ++measured;
+        for (double ms : ws->tierMs)
+            row.push_back(fmtDouble(ms, 4));
+        for (size_t i = 0; i < speedups.size(); ++i) {
+            const auto &sp = ws->speedups[i];
+            speedups[i].push_back(sp);
+            row.push_back(harness::formatCi(sp.ci, 2));
+            row.push_back(sp.significant ? "y" : "n");
+        }
+        t.addRow(row);
         if (ws->quarantined || ws->failureCount > 0)
             ++degraded;
     }
     env.out("%s", t.render().c_str());
-    if (!speedups.empty()) {
-        auto geo = harness::geomeanSpeedup(speedups);
-        env.out("geomean speedup (adaptive over interp): %s\n",
-                harness::formatCi(geo, 2).c_str());
-        auto tgeo = harness::geomeanSpeedup(threadedSpeedups);
-        env.out("geomean speedup (threaded over interp): %s\n",
-                harness::formatCi(tgeo, 2).c_str());
-    }
+    if (measured > 0)
+        for (size_t i = 0; i < speedups.size(); ++i)
+            env.out("geomean speedup (%s over %s): %s\n",
+                    vm::tierName(kSuiteTiers[i + 1].tier),
+                    vm::tierName(kSuiteTiers[0].tier),
+                    harness::formatCi(
+                        harness::geomeanSpeedup(speedups[i]), 2)
+                        .c_str());
 
     if (degraded > 0) {
         Table ft({"benchmark", "status", "failures"});
@@ -729,28 +666,11 @@ runSuiteJob(JobEnv &env)
     }
     // Partial results are a success; only a suite where *nothing*
     // could be measured exits nonzero.
-    if (speedups.empty())
+    if (measured == 0)
         return kExitFailure;
     if (!spec.archiveDir.empty() && !archiveRuns.empty())
         archiveAppend(env, archiveRuns);
     return kExitSuccess;
-}
-
-/** Flush the --metrics / --trace files after the job finished. */
-void
-writeObservability(const JobEnv &env)
-{
-    if (env.metrics && !env.spec.metricsPath.empty()) {
-        atomicWriteFile(env.spec.metricsPath,
-                        env.metrics->toJson().dump(2) + "\n");
-        env.out("wrote %s\n", env.spec.metricsPath.c_str());
-    }
-    if (env.trace && !env.spec.tracePath.empty()) {
-        env.trace->endSpansTo(0);
-        atomicWriteFile(env.spec.tracePath,
-                        env.trace->toJson().dump(1) + "\n");
-        env.out("wrote %s\n", env.spec.tracePath.c_str());
-    }
 }
 
 } // namespace
@@ -873,6 +793,23 @@ writeRunArtifacts(const JobSpec &spec, const harness::RunResult &run,
     }
 }
 
+void
+writeObservability(const MetricsRegistry *metrics,
+                   const std::string &metricsPath, TraceEmitter *trace,
+                   const std::string &tracePath,
+                   const std::function<void(const std::string &)> &out)
+{
+    if (metrics && !metricsPath.empty()) {
+        atomicWriteFile(metricsPath, metrics->toJson().dump(2) + "\n");
+        out(strprintf("wrote %s\n", metricsPath.c_str()));
+    }
+    if (trace && !tracePath.empty()) {
+        trace->endSpansTo(0);
+        atomicWriteFile(tracePath, trace->toJson().dump(1) + "\n");
+        out(strprintf("wrote %s\n", tracePath.c_str()));
+    }
+}
+
 int
 executeJob(const JobSpec &spec, const JobHooks &hooks)
 {
@@ -898,7 +835,8 @@ executeJob(const JobSpec &spec, const JobHooks &hooks)
                                      : runRunJob(env);
     // Partial artifacts are flushed even after an interrupt, so what
     // was measured is never lost.
-    writeObservability(env);
+    writeObservability(env.metrics, spec.metricsPath, env.trace,
+                       spec.tracePath, hooks.output);
     return rc;
 }
 

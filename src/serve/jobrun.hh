@@ -123,6 +123,18 @@ void writeRunArtifacts(const JobSpec &spec,
                        const std::function<void(const std::string &)>
                            &out);
 
+/**
+ * Flush the --metrics / --trace files once a command has finished:
+ * each sink that is set and has a path is written atomically (open
+ * trace spans closed first), with a "wrote PATH" line through `out`.
+ */
+void writeObservability(const MetricsRegistry *metrics,
+                        const std::string &metricsPath,
+                        TraceEmitter *trace,
+                        const std::string &tracePath,
+                        const std::function<void(const std::string &)>
+                            &out);
+
 } // namespace serve
 } // namespace rigor
 

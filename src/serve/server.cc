@@ -1,5 +1,6 @@
 #include "serve/server.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -89,10 +90,12 @@ class Server
     /** Shutdown came from the protocol op, not a signal (exit 0). */
     bool shutdownOp_ = false;
 
-    /** Guards connFds_ (connThreads_ is touched only by run()). */
+    /** Guards connFds_, connDone_ (connThreads_ is run()'s alone). */
     std::mutex connMu_;
     std::vector<std::thread> connThreads_;
     std::set<int> connFds_;
+    /** Connection threads that have finished but are not joined. */
+    std::vector<std::thread::id> connDone_;
 };
 
 /** Append an event to a job's stream; caller does NOT hold mu_. */
@@ -555,6 +558,7 @@ Server::handleConn(int fd)
         // wake-up shutdown() must never hit a stranger's socket.
         std::lock_guard<std::mutex> g(connMu_);
         connFds_.erase(fd);
+        connDone_.push_back(std::this_thread::get_id());
     }
 }
 
@@ -593,6 +597,20 @@ Server::run()
         workers.emplace_back([this] { workerLoop(); });
 
     for (;;) {
+        // A finished connection's thread keeps its stack mapped until
+        // it is joined, so join each one soon after it finishes.
+        std::vector<std::thread::id> done;
+        {
+            std::lock_guard<std::mutex> g(connMu_);
+            done.swap(connDone_);
+        }
+        for (std::thread::id id : done) {
+            auto it = std::find_if(
+                connThreads_.begin(), connThreads_.end(),
+                [id](const std::thread &t) { return t.get_id() == id; });
+            it->join();
+            connThreads_.erase(it);
+        }
         pollfd pfd{};
         pfd.fd = listenFd;
         pfd.events = POLLIN;

@@ -9,7 +9,13 @@
 #   - `run nbody` on each tier with --json, --metrics, --trace and
 #     --archive (the archive entries are hashed too);
 #   - `archive list`;
-#   - `compare 1 2 --json` (interp entry vs adaptive entry).
+#   - `compare 1 2 --json` (interp entry vs adaptive entry);
+#   - `sequential nbody` with --metrics and --trace;
+#   - a small `suite` with a per-invocation checkpoint, --metrics and
+#     --trace (report, resume state, metrics, trace), the same design
+#     with --archive (its entry), and the same checkpointed suite
+#     killed by `--inject io:crash-at=N` at the write that leaves one
+#     complete and one partial tier in the state's in_progress record.
 #
 # A change that alters any of these bytes on purpose must say so and
 # regenerate the manifest with --update. The modelled noise goes
@@ -45,8 +51,31 @@ done
     --archive archive --json compare.json >compare.md 2>/dev/null ||
     fail "compare exited $?"
 
+"$BIN" sequential nbody --size 4 --metrics seq-metrics.json \
+    --trace seq-trace.json --quiet >seq.txt 2>/dev/null ||
+    fail "sequential exited $?"
+
+SUITE=(suite --invocations 2 --iterations 2 --size 4 --quiet)
+CKPT=(--checkpoint-every 1 --metrics suite-metrics.json
+      --trace suite-trace.json)
+"$BIN" "${SUITE[@]}" "${CKPT[@]}" --resume suite-state.json \
+    >suite-report.txt 2>/dev/null || fail "suite exited $?"
+"$BIN" "${SUITE[@]}" --archive suite-archive >/dev/null 2>&1 ||
+    fail "suite --archive exited $?"
+# Each checkpoint is nine durable-I/O calls; the 24th renames the
+# third checkpoint into place: richards with interp complete and
+# adaptive one invocation in.
+mkdir crash && (cd crash && "$BIN" "${SUITE[@]}" "${CKPT[@]}" \
+    --resume suite-state.json --inject io:crash-at=24 >/dev/null 2>&1)
+rc=$?
+[ "$rc" -eq 6 ] || fail "suite --inject io:crash-at=24 exited $rc (want 6)"
+
 FILES=(run-*.json metrics-*.json trace-*.json archive/entry-*.json
-       archive-list.txt compare.json compare.md)
+       archive-list.txt compare.json compare.md
+       seq.txt seq-metrics.json seq-trace.json
+       suite-report.txt suite-state.json suite-metrics.json
+       suite-trace.json suite-archive/entry-*.json
+       crash/suite-state.json)
 if [ "$MODE" = "--update" ]; then
     sha256sum "${FILES[@]}" >"$MANIFEST" || fail "cannot write manifest"
     echo "updated $MANIFEST"

@@ -151,13 +151,11 @@ TEST(SuiteState, ResumeRoundTrip)
 
     SuiteWorkloadState ok;
     ok.name = "sieve";
-    ok.interpMs = 1.5;
-    ok.adaptiveMs = 0.5;
-    ok.threadedMs = 0.6;
-    ok.speedup.ci = {3.0, 2.8, 3.2, 0.95};
-    ok.speedup.significant = true;
-    ok.threadedSpeedup.ci = {2.5, 2.3, 2.7, 0.95};
-    ok.threadedSpeedup.significant = true;
+    ok.tierMs = {1.5, 0.5, 0.6};
+    ok.speedups[0].ci = {3.0, 2.8, 3.2, 0.95};
+    ok.speedups[0].significant = true;
+    ok.speedups[1].ci = {2.5, 2.3, 2.7, 0.95};
+    ok.speedups[1].significant = true;
     ok.failureCount = 1;
     state.workloads.push_back(ok);
 
@@ -170,6 +168,10 @@ TEST(SuiteState, ResumeRoundTrip)
 
     Json doc = Json::parse(suiteStateToJson(state).dump(2));
     SuiteState restored = suiteStateFromJson(doc);
+    // State files on disk use these keys; the tier list must keep them.
+    for (const char *key : {"interp_ms", "adaptive_ms", "threaded_ms",
+                            "speedup", "threaded_speedup"})
+        EXPECT_TRUE(doc.at("workloads").at(0).has(key)) << key;
 
     EXPECT_EQ(restored.seed, state.seed);
     EXPECT_EQ(restored.invocations, 8);
@@ -179,15 +181,15 @@ TEST(SuiteState, ResumeRoundTrip)
     const auto *r_ok = restored.find("sieve");
     ASSERT_NE(r_ok, nullptr);
     EXPECT_FALSE(r_ok->failed);
-    EXPECT_DOUBLE_EQ(r_ok->interpMs, 1.5);
-    EXPECT_DOUBLE_EQ(r_ok->adaptiveMs, 0.5);
-    EXPECT_DOUBLE_EQ(r_ok->threadedMs, 0.6);
-    EXPECT_DOUBLE_EQ(r_ok->speedup.ci.estimate, 3.0);
-    EXPECT_DOUBLE_EQ(r_ok->speedup.ci.lower, 2.8);
-    EXPECT_TRUE(r_ok->speedup.significant);
-    EXPECT_DOUBLE_EQ(r_ok->threadedSpeedup.ci.estimate, 2.5);
-    EXPECT_DOUBLE_EQ(r_ok->threadedSpeedup.ci.upper, 2.7);
-    EXPECT_TRUE(r_ok->threadedSpeedup.significant);
+    EXPECT_DOUBLE_EQ(r_ok->tierMs[0], 1.5);
+    EXPECT_DOUBLE_EQ(r_ok->tierMs[1], 0.5);
+    EXPECT_DOUBLE_EQ(r_ok->tierMs[2], 0.6);
+    EXPECT_DOUBLE_EQ(r_ok->speedups[0].ci.estimate, 3.0);
+    EXPECT_DOUBLE_EQ(r_ok->speedups[0].ci.lower, 2.8);
+    EXPECT_TRUE(r_ok->speedups[0].significant);
+    EXPECT_DOUBLE_EQ(r_ok->speedups[1].ci.estimate, 2.5);
+    EXPECT_DOUBLE_EQ(r_ok->speedups[1].ci.upper, 2.7);
+    EXPECT_TRUE(r_ok->speedups[1].significant);
     EXPECT_EQ(r_ok->failureCount, 1);
 
     const auto *r_bad = restored.find("queens");

@@ -7,11 +7,14 @@
  * — suite heartbeats route through the installed LogSink (so a
  * per-job-thread sink captures them and --quiet fully silences them)
  * and a job's streamed report is deterministic across executions.
- * Also the daemon's limit on the length of a request line.
+ * Also resume from every tier position of a checkpointed suite, the
+ * daemon's limit on the length of a request line and the reaping of
+ * its finished connection threads.
  */
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -27,6 +30,8 @@
 #include "serve/protocol.hh"
 #include "serve/queue.hh"
 #include "serve/server.hh"
+#include "support/durable_io.hh"
+#include "support/interrupt.hh"
 #include "support/logging.hh"
 #include "support/schema.hh"
 #include "support/unix_socket.hh"
@@ -402,6 +407,84 @@ TEST(ServeJob, RunReportIsDeterministic)
 }
 
 
+/** The bytes a checkpointed suite job leaves behind. */
+struct SuiteBytes
+{
+    std::string report;
+    std::string state;
+    std::string metrics;
+    std::string trace;
+};
+
+/**
+ * Run the checkpointed suite `spec` from scratch to the end. With
+ * `interruptAt` k > 0, interrupt it at its k-th committed invocation
+ * first, then resume it with the same spec; the report is the
+ * resumed process's.
+ */
+SuiteBytes
+runSuiteInterruptedAt(const JobSpec &spec, int interruptAt)
+{
+    for (const std::string &f : {spec.resumePath, spec.resumePath + ".bak",
+                                  spec.metricsPath, spec.tracePath})
+        std::remove(f.c_str());
+    SuiteBytes b;
+    JobHooks hooks;
+    hooks.output = [&b](const std::string &chunk) { b.report += chunk; };
+    if (interruptAt > 0) {
+        int commits = 0;
+        hooks.progress = [&commits, interruptAt](
+                             const harness::RunResult &, int) {
+            if (++commits == interruptAt)
+                requestInterrupt();
+        };
+        EXPECT_EQ(executeJob(spec, hooks), kExitInterrupted)
+            << "interrupted at commit " << interruptAt;
+        clearInterruptRequest();
+        EXPECT_EQ(commits, interruptAt);
+        hooks.progress = nullptr;
+        b.report.clear();
+    }
+    EXPECT_EQ(executeJob(spec, hooks), kExitSuccess)
+        << "resumed from commit " << interruptAt;
+    EXPECT_TRUE(readFile(spec.resumePath, b.state));
+    EXPECT_TRUE(readFile(spec.metricsPath, b.metrics));
+    EXPECT_TRUE(readFile(spec.tracePath, b.trace));
+    return b;
+}
+
+/**
+ * A suite interrupted at any commit and resumed writes the bytes of
+ * an uninterrupted run. With two invocations per tier, commits 1-6
+ * are the middle and the end of the first workload's interp,
+ * adaptive and threaded runs (a partial tier, or a complete one whose
+ * workload span is still open), and commit 7 is the second
+ * workload's first.
+ */
+TEST(ServeJob, ResumeFromEveryTierPositionIsByteIdentical)
+{
+    ScratchDir tmp;
+    ThreadSinkCapture logs;  // heartbeats stay out of the test output
+    JobSpec spec = tinySuiteSpec();
+    spec.resumePath = tmp.dir() + "/state.json";
+    spec.checkpointEvery = 1;
+    spec.metricsPath = tmp.dir() + "/metrics.json";
+    spec.tracePath = tmp.dir() + "/trace.json";
+
+    SuiteBytes ref = runSuiteInterruptedAt(spec, 0);
+    ASSERT_NE(ref.report.find("geomean speedup"), std::string::npos);
+    for (int k = 1; k <= 7; ++k) {
+        SuiteBytes got = runSuiteInterruptedAt(spec, k);
+        EXPECT_EQ(got.report, ref.report) << "commit " << k;
+        // Compared as booleans: a failure must not print ~1 MB.
+        EXPECT_TRUE(got.state == ref.state) << "state, commit " << k;
+        EXPECT_TRUE(got.metrics == ref.metrics)
+            << "metrics, commit " << k;
+        EXPECT_TRUE(got.trace == ref.trace) << "trace, commit " << k;
+    }
+}
+
+
 /**
  * A job's result line must follow its last event at once. The stream
  * used to sleep on the condition variable (for up to its 200 ms poll)
@@ -575,6 +658,61 @@ TEST(ServeDaemon, DeeplyNestedRequestIsRejectedAndOthersStillServed)
         ASSERT_TRUE(ch.readLine(line));
         EXPECT_TRUE(Json::parse(line).at("ok").asBool()) << line;
     }
+    drainDaemon(cfg.socketPath);
+    daemon.join();
+    EXPECT_EQ(serverRc, kExitSuccess);
+}
+
+/** Mappings in this process's address space. */
+size_t
+mappingCount()
+{
+    std::string maps;
+    EXPECT_TRUE(readFile("/proc/self/maps", maps));
+    return static_cast<size_t>(std::count(maps.begin(), maps.end(), '\n'));
+}
+
+/**
+ * The daemon joins a finished connection's thread while it runs. It
+ * used to keep every connection's thread, and with it a mapped stack,
+ * until it shut down, so a long-lived daemon grew with every client
+ * it had ever served.
+ */
+TEST(ServeDaemon, FinishedConnectionThreadsAreReaped)
+{
+    ScratchDir tmp;
+    ServerConfig cfg;
+    cfg.socketPath = tmp.dir() + "/serve.sock";
+    cfg.stateDir = tmp.dir() + "/state";
+    int serverRc = -1;
+    std::thread daemon([&] { serverRc = runServer(cfg); });
+
+    auto hello = [&cfg] {
+        int fd = dialDaemon(cfg.socketPath);
+        ASSERT_GE(fd, 0) << "daemon never listened";
+        LineChannel ch(fd);
+        ASSERT_TRUE(ch.writeLine(makeRequest("hello").dump()));
+        std::string line;
+        ASSERT_TRUE(ch.readLine(line));
+    };
+    for (int i = 0; i < 10; ++i)
+        hello();
+    size_t baseline = mappingCount();
+    for (int i = 0; i < 200; ++i)
+        hello();
+    // Each kept thread holds two mappings (stack and guard page). A
+    // thread is reaped on the accept loop's next turn, at most one
+    // 200 ms poll after it finished.
+    const size_t slack = 40;
+    size_t after = mappingCount();
+    for (int i = 0; i < 30 && after > baseline + slack; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        after = mappingCount();
+    }
+    EXPECT_LE(after, baseline + slack)
+        << "mappings: " << baseline << " before 200 connections, "
+        << after << " after";
+
     drainDaemon(cfg.socketPath);
     daemon.join();
     EXPECT_EQ(serverRc, kExitSuccess);

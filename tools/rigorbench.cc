@@ -745,6 +745,13 @@ cmdDisasm(const Options &opt)
     return kExitSuccess;
 }
 
+/** The CLI's output hook: a job's report stream goes to stdout. */
+void
+writeStdout(const std::string &chunk)
+{
+    std::fwrite(chunk.data(), 1, chunk.size(), stdout);
+}
+
 /**
  * `run` and `suite`: hand the job to the shared execution engine with
  * an output hook that writes straight to stdout. The daemon runs the
@@ -757,9 +764,7 @@ runLocalJob(const Options &opt)
     serve::JobSpec spec =
         specFromOptions(opt, opt.command, opt.workload);
     serve::JobHooks hooks;
-    hooks.output = [](const std::string &chunk) {
-        std::fwrite(chunk.data(), 1, chunk.size(), stdout);
-    };
+    hooks.output = writeStdout;
     return serve::executeJob(spec, hooks);
 }
 
@@ -1030,23 +1035,6 @@ cmdCancel(const Options &opt)
             parseInt("cancel", opt.workload.c_str(), 0)));
 }
 
-/** Flush --metrics / --trace files after the command finished. */
-void
-writeObservability(const Options &opt)
-{
-    if (opt.metrics && !opt.metricsPath.empty()) {
-        atomicWriteFile(opt.metricsPath,
-                        opt.metrics->toJson().dump(2) + "\n");
-        std::printf("wrote %s\n", opt.metricsPath.c_str());
-    }
-    if (opt.trace && !opt.tracePath.empty()) {
-        opt.trace->endSpansTo(0);
-        atomicWriteFile(opt.tracePath,
-                        opt.trace->toJson().dump(1) + "\n");
-        std::printf("wrote %s\n", opt.tracePath.c_str());
-    }
-}
-
 /**
  * Commands whose measurement/observability sinks the shared execution
  * engine owns (serve::executeJob creates and flushes them itself, on
@@ -1165,7 +1153,9 @@ main(int argc, char **argv)
         // Partial artifacts are flushed even after an interrupt, so
         // what was measured is never lost.
         if (ownSinks)
-            writeObservability(opt);
+            serve::writeObservability(opt.metrics, opt.metricsPath,
+                                      opt.trace, opt.tracePath,
+                                      writeStdout);
         // stdout itself is an artifact consumers parse; a full disk
         // or closed pipe must be a loud failure, not silence.
         if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
