@@ -22,21 +22,166 @@ namespace archive {
 
 namespace {
 
-/** Validate an entry payload's inner schema against this build. */
-void
-checkEntrySchema(const Json &payload, const std::string &path)
+/**
+ * Json::Span depth of the deepest values a skeleton looks at: the
+ * envelope is 0, the payload 1, its members 2, and the elements of
+ * `runs` and `profiles` 3.
+ */
+constexpr int kSkeletonDepth = 3;
+
+/** The skeleton verifyEntryText() describes, of a canonical payload. */
+Json
+skeletonOf(const CanonicalState &canon)
+{
+    std::string_view s = canon.text;
+    if (s[canon.payloadBegin] != '{')
+        return Json::parse(canon.payload());
+    // The envelope's other members are scalars, so every depth-2
+    // span is a payload member, followed by its depth-3 children.
+    const auto &spans = canon.outline;
+    auto bytes = [&](size_t begin, size_t end) {
+        return s.substr(begin, end - begin);
+    };
+    std::string skel = "{";
+    for (size_t i = 0; i < spans.size(); ++i) {
+        const Json::Span &m = spans[i];
+        if (m.depth != 2)
+            continue;
+        if (skel.size() > 1)
+            skel += ',';
+        std::string_view key = bytes(m.keyBegin, m.keyEnd);
+        skel += key;
+        skel += ':';
+        bool runs = key == "\"runs\"";
+        if (!(runs || key == "\"profiles\"") || s[m.begin] != '[') {
+            skel += bytes(m.begin, m.end);
+            continue;
+        }
+        skel += '[';
+        for (size_t j = i + 1; j < spans.size() && spans[j].depth > 2;
+             ++j) {
+            if (skel.back() != '[')
+                skel += ',';
+            bool null = runs ||
+                bytes(spans[j].begin, spans[j].end) == "null";
+            skel += null ? "null" : "{}";
+        }
+        skel += ']';
+    }
+    skel += '}';
+    return Json::parse(skel);
+}
+
+/**
+ * The payload scan() summarizes (a skeleton when the bytes are
+ * canonical), from the backup when the main copy is unusable.
+ */
+Json
+scanPayload(const std::string &path)
+{
+    std::string text;
+    Json payload;
+    if (readFile(path, text) && verifyEntryText(text, &payload, nullptr))
+        return payload;
+    // loadStateFile tries the backup and words the error.
+    StateLoad load = loadStateFile(path);
+    if (load.usedBackup)
+        warn("%s", load.warning.c_str());
+    return std::move(load.payload);
+}
+
+} // namespace
+
+PayloadState
+checkPayload(const Json &payload, std::string *why)
 {
     const Json *schema = payload.get("schema");
-    if (!schema || schema->asString() != kArchiveEntrySchema)
-        fatal("%s is not a %s document", path.c_str(),
-              kArchiveEntrySchema);
-    int64_t v = payload.at("version").asInt();
-    if (v < kArchiveEntryMinVersion || v > kArchiveEntryVersion)
-        fatal("%s has %s version %lld; this build reads versions "
-              "%d..%d",
-              path.c_str(), kArchiveEntrySchema,
-              static_cast<long long>(v), kArchiveEntryMinVersion,
-              kArchiveEntryVersion);
+    if (!schema || schema->type() != Json::Type::String ||
+        schema->asString() != kArchiveEntrySchema) {
+        *why = strprintf("payload is not a %s document",
+                         kArchiveEntrySchema);
+        return PayloadState::Bad;
+    }
+    const Json *version = payload.get("version");
+    if (!version || version->type() != Json::Type::Int) {
+        *why = "payload has no integer version";
+        return PayloadState::Bad;
+    }
+    int64_t v = version->asInt();
+    if (v > kArchiveEntryVersion) {
+        *why = strprintf("version %lld is newer than this build's "
+                         "%d..%d",
+                         static_cast<long long>(v),
+                         kArchiveEntryMinVersion,
+                         kArchiveEntryVersion);
+        return PayloadState::Future;
+    }
+    if (v < kArchiveEntryMinVersion) {
+        *why = strprintf("version %lld predates the supported "
+                         "%d..%d",
+                         static_cast<long long>(v),
+                         kArchiveEntryMinVersion,
+                         kArchiveEntryVersion);
+        return PayloadState::Bad;
+    }
+    auto isString = [](const Json *j) {
+        return j && j->type() == Json::Type::String;
+    };
+    auto isArray = [](const Json *j) {
+        return j && j->type() == Json::Type::Array;
+    };
+    if (!isString(payload.get("fingerprint"))) {
+        *why = "payload has no fingerprint";
+        return PayloadState::Bad;
+    }
+    if (!isString(payload.get("command"))) {
+        *why = "payload has no command";
+        return PayloadState::Bad;
+    }
+    const Json *runs = payload.get("runs");
+    if (!isArray(runs) || runs->size() == 0) {
+        *why = "payload has no runs";
+        return PayloadState::Bad;
+    }
+    // The optional members a summary reads.
+    const Json *label = payload.get("label");
+    if (label && !isString(label)) {
+        *why = "payload label is not a string";
+        return PayloadState::Bad;
+    }
+    const Json *profiles = payload.get("profiles");
+    if (profiles && !isArray(profiles)) {
+        *why = "payload profiles is not an array";
+        return PayloadState::Bad;
+    }
+    const Json *config = payload.get("config");
+    if (const Json *tiers = config ? config->get("tiers") : nullptr) {
+        bool ok = isArray(tiers);
+        for (size_t i = 0; ok && i < tiers->size(); ++i)
+            ok = isString(&tiers->at(i));
+        if (!ok) {
+            *why = "payload config tiers is not a list of names";
+            return PayloadState::Bad;
+        }
+    }
+    return PayloadState::Ok;
+}
+
+bool
+verifyEntryText(const std::string &text, Json *payload,
+                std::string *why)
+{
+    CanonicalState canon;
+    if (verifyCanonicalState(text, canon, kSkeletonDepth)) {
+        try {
+            *payload = skeletonOf(canon);
+            return true;
+        } catch (const FatalError &) {
+            // A CRC collision on bytes that do not parse: let the
+            // tree path word the verdict.
+        }
+    }
+    return verifyStateText(text, payload, why);
 }
 
 EntrySummary
@@ -68,8 +213,6 @@ summaryFromPayload(const Json &payload, int id,
     s.sizeBytes = ec ? 0 : static_cast<uint64_t>(size);
     return s;
 }
-
-} // namespace
 
 RunArchive::RunArchive(std::string dir) : dir_(std::move(dir))
 {
@@ -187,26 +330,24 @@ RunArchive::scan() const
 
     for (const auto &[id, path] : files) {
         try {
-            StateLoad load = loadStateFile(path);
-            if (load.usedBackup)
-                warn("%s", load.warning.c_str());
-            const Json *schema = load.payload.get("schema");
-            const Json *version = load.payload.get("version");
-            if (schema && schema->asString() == kArchiveEntrySchema &&
-                version && version->asInt() > kArchiveEntryVersion) {
+            Json payload = scanPayload(path);
+            std::string why;
+            PayloadState state = checkPayload(payload, &why);
+            if (state == PayloadState::Future) {
                 // Written by a future build: perfectly healthy data
                 // this build cannot interpret. Skip, never
                 // quarantine — downgrades must not eat archives.
                 warn("%s has %s version %lld; this build reads "
                      "versions %d..%d, leaving it in place",
                      path.c_str(), kArchiveEntrySchema,
-                     static_cast<long long>(version->asInt()),
+                     static_cast<long long>(
+                         payload.at("version").asInt()),
                      kArchiveEntryMinVersion, kArchiveEntryVersion);
                 continue;
             }
-            checkEntrySchema(load.payload, path);
-            out.entries.push_back(
-                summaryFromPayload(load.payload, id, path));
+            if (state == PayloadState::Bad)
+                fatal("%s: %s", path.c_str(), why.c_str());
+            out.entries.push_back(summaryFromPayload(payload, id, path));
         } catch (const FatalError &e) {
             // Both the file and its backup are unusable (or its
             // schema is foreign): quarantine instead of aborting the
@@ -248,7 +389,9 @@ RunArchive::load(const EntrySummary &summary) const
     if (stateLoad.usedBackup)
         warn("%s", stateLoad.warning.c_str());
     const Json &payload = stateLoad.payload;
-    checkEntrySchema(payload, summary.path);
+    std::string why;
+    if (checkPayload(payload, &why) != PayloadState::Ok)
+        fatal("%s: %s", summary.path.c_str(), why.c_str());
     Entry entry;
     entry.summary = summaryFromPayload(payload, summary.id,
                                        summary.path);

@@ -91,6 +91,39 @@ struct ScanResult
     int quarantinedPresent = 0;
 };
 
+/** How an entry payload relates to this build's archive-entry schema. */
+enum class PayloadState
+{
+    Ok,     ///< readable by this build
+    Future, ///< healthy data from a newer build — hands off
+    Bad,    ///< not an archive entry (or structurally broken)
+};
+
+/**
+ * The one "usable payload" check of scan(), load() and fsck: the
+ * schema and version, and every member summaryFromPayload() reads,
+ * with its type. On anything but Ok, `why` says what is wrong.
+ */
+PayloadState checkPayload(const Json &payload, std::string *why);
+
+/**
+ * Verify one entry file's text, as scan() and fsck do. When the bytes
+ * are canonical (verifyCanonicalState) `payload` gets a skeleton:
+ * every member as written, except that each element of `runs` is
+ * null and each element of `profiles` is null or `{}`. That is all
+ * checkPayload() and summaryFromPayload() read, with no samples
+ * built. Otherwise the tree path (verifyStateText) decides, and
+ * `payload` gets the whole payload.
+ * @return false with a diagnosis in `why` (when non-null) when the
+ * envelope does not verify.
+ */
+bool verifyEntryText(const std::string &text, Json *payload,
+                     std::string *why);
+
+/** Summary of a payload (or its skeleton) checkPayload() accepted. */
+EntrySummary summaryFromPayload(const Json &payload, int id,
+                                const std::string &path);
+
 /**
  * An archive rooted at one directory. Operations are deterministic:
  * scans sort by id, so two scans of the same directory agree on every

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <set>
 
+#include "archive/archive.hh"
 #include "archive/entry_format.hh"
 #include "support/durable_io.hh"
 #include "support/filelock.hh"
@@ -20,67 +21,10 @@ namespace archive {
 
 namespace {
 
-/** How a payload relates to this build's archive-entry schema. */
-enum class PayloadState
-{
-    Ok,     ///< readable by this build
-    Future, ///< healthy data from a newer build — hands off
-    Bad,    ///< not an archive entry (or structurally broken)
-};
-
-PayloadState
-checkPayload(const Json &payload, std::string *why)
-{
-    const Json *schema = payload.get("schema");
-    if (!schema || schema->type() != Json::Type::String ||
-        schema->asString() != kArchiveEntrySchema) {
-        *why = strprintf("payload is not a %s document",
-                         kArchiveEntrySchema);
-        return PayloadState::Bad;
-    }
-    const Json *version = payload.get("version");
-    if (!version || version->type() != Json::Type::Int) {
-        *why = "payload has no integer version";
-        return PayloadState::Bad;
-    }
-    int64_t v = version->asInt();
-    if (v > kArchiveEntryVersion) {
-        *why = strprintf("version %lld is newer than this build's "
-                         "%d..%d",
-                         static_cast<long long>(v),
-                         kArchiveEntryMinVersion,
-                         kArchiveEntryVersion);
-        return PayloadState::Future;
-    }
-    if (v < kArchiveEntryMinVersion) {
-        *why = strprintf("version %lld predates the supported "
-                         "%d..%d",
-                         static_cast<long long>(v),
-                         kArchiveEntryMinVersion,
-                         kArchiveEntryVersion);
-        return PayloadState::Bad;
-    }
-    const Json *fp = payload.get("fingerprint");
-    const Json *command = payload.get("command");
-    const Json *runs = payload.get("runs");
-    if (!fp || fp->type() != Json::Type::String) {
-        *why = "payload has no fingerprint";
-        return PayloadState::Bad;
-    }
-    if (!command || command->type() != Json::Type::String) {
-        *why = "payload has no command";
-        return PayloadState::Bad;
-    }
-    if (!runs || runs->type() != Json::Type::Array ||
-        runs->size() == 0) {
-        *why = "payload has no runs";
-        return PayloadState::Bad;
-    }
-    return PayloadState::Ok;
-}
-
 /**
- * Read `path` and verify envelope + payload in one go.
+ * Read `path` and verify envelope + payload in one go, with scan()'s
+ * verifier. A restore rewrites the payload it is given, so with
+ * `payload` non-null the tree path supplies the whole of it.
  * @return Ok/Future/Bad; `payload` and `why` as in the parts.
  */
 PayloadState
@@ -93,7 +37,8 @@ verifyEntryFile(const std::string &path, Json *payload,
         return PayloadState::Bad;
     }
     Json inner;
-    if (!verifyStateText(text, &inner, why))
+    if (!(payload ? verifyStateText(text, &inner, why)
+                  : verifyEntryText(text, &inner, why)))
         return PayloadState::Bad;
     PayloadState state = checkPayload(inner, why);
     if (payload)

@@ -125,19 +125,6 @@ FaultPlan::parseSpec(const std::string &text)
     return spec;
 }
 
-const char *
-ioFaultKindName(IoFaultKind k)
-{
-    switch (k) {
-      case IoFaultKind::ShortWrite: return "short-write";
-      case IoFaultKind::Enospc: return "enospc";
-      case IoFaultKind::TornRename: return "torn-rename";
-      case IoFaultKind::FsyncFail: return "fsync-fail";
-      case IoFaultKind::CrashAt: return "crash-at";
-    }
-    return "?";
-}
-
 namespace {
 
 /** Operations an op= filter may name. */

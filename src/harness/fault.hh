@@ -90,9 +90,6 @@ enum class IoFaultKind
     CrashAt,    ///< _exit() instead of performing call number `at`
 };
 
-/** Short name of an I/O fault kind ("short-write", "enospc", ...). */
-const char *ioFaultKindName(IoFaultKind k);
-
 /** Exit code of a process killed by an `io:crash-at=N` fault. */
 inline constexpr int kExitCrashInjected = 6;
 

@@ -67,9 +67,10 @@ bootstrapInterval(
             v = xs[rng.nextBounded(xs.size())];
         stats.push_back(statistic(resample));
     }
+    std::sort(stats.begin(), stats.end());
     double alpha = 1.0 - confidence;
-    ci.lower = percentile(stats, 100.0 * alpha / 2.0);
-    ci.upper = percentile(stats, 100.0 * (1.0 - alpha / 2.0));
+    ci.lower = sortedPercentile(stats, 100.0 * alpha / 2.0);
+    ci.upper = sortedPercentile(stats, 100.0 * (1.0 - alpha / 2.0));
     return ci;
 }
 
@@ -225,9 +226,10 @@ hierarchicalRatioInterval(
         // zero-mean panic above already excludes the systematic case.
         ratios.push_back(num / den);
     }
+    std::sort(ratios.begin(), ratios.end());
     double alpha = 1.0 - confidence;
-    ci.lower = percentile(ratios, 100.0 * alpha / 2.0);
-    ci.upper = percentile(ratios, 100.0 * (1.0 - alpha / 2.0));
+    ci.lower = sortedPercentile(ratios, 100.0 * alpha / 2.0);
+    ci.upper = sortedPercentile(ratios, 100.0 * (1.0 - alpha / 2.0));
     return ci;
 }
 

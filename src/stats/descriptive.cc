@@ -42,13 +42,12 @@ stddev(const std::vector<double> &xs)
 }
 
 double
-percentile(std::vector<double> xs, double p)
+sortedPercentile(const std::vector<double> &xs, double p)
 {
     if (xs.empty())
         panic("percentile: empty sample");
     if (p < 0.0 || p > 100.0)
         panic("percentile: p must be in [0,100], got %g", p);
-    std::sort(xs.begin(), xs.end());
     if (xs.size() == 1)
         return xs[0];
     double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
@@ -56,6 +55,13 @@ percentile(std::vector<double> xs, double p)
     size_t hi = std::min(lo + 1, xs.size() - 1);
     double frac = rank - static_cast<double>(lo);
     return xs[lo] + frac * (xs[hi] - xs[lo]);
+}
+
+double
+percentile(std::vector<double> xs, double p)
+{
+    std::sort(xs.begin(), xs.end());
+    return sortedPercentile(xs, p);
 }
 
 double
@@ -92,15 +98,6 @@ harmonicMean(const std::vector<double> &xs)
     return static_cast<double>(xs.size()) / inv_sum;
 }
 
-double
-coefficientOfVariation(const std::vector<double> &xs)
-{
-    double m = mean(xs);
-    if (m == 0.0)
-        panic("coefficientOfVariation: zero mean");
-    return stddev(xs) / std::fabs(m);
-}
-
 Summary
 summarize(const std::vector<double> &xs)
 {
@@ -114,9 +111,11 @@ summarize(const std::vector<double> &xs)
     s.sem = s.stddev / std::sqrt(static_cast<double>(s.n));
     s.min = *std::min_element(xs.begin(), xs.end());
     s.max = *std::max_element(xs.begin(), xs.end());
-    s.median = median(xs);
-    s.q1 = percentile(xs, 25.0);
-    s.q3 = percentile(xs, 75.0);
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    s.median = sortedPercentile(sorted, 50.0);
+    s.q1 = sortedPercentile(sorted, 25.0);
+    s.q3 = sortedPercentile(sorted, 75.0);
     s.cov = s.mean != 0.0 ? s.stddev / std::fabs(s.mean) : 0.0;
     return s;
 }
@@ -164,8 +163,10 @@ tukeyOutliers(const std::vector<double> &xs, double k)
     std::vector<size_t> out;
     if (xs.size() < 4)
         return out;
-    double q1 = percentile(xs, 25.0);
-    double q3 = percentile(xs, 75.0);
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    double q1 = sortedPercentile(sorted, 25.0);
+    double q3 = sortedPercentile(sorted, 75.0);
     double iqr = q3 - q1;
     double lo = q1 - k * iqr;
     double hi = q3 + k * iqr;

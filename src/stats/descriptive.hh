@@ -46,6 +46,12 @@ double stddev(const std::vector<double> &xs);
  */
 double percentile(std::vector<double> xs, double p);
 
+/**
+ * percentile() of a sample already sorted ascending, so several
+ * percentiles of one sample cost one sort.
+ */
+double sortedPercentile(const std::vector<double> &sorted, double p);
+
 /** Median (50th percentile). */
 double median(const std::vector<double> &xs);
 
@@ -54,9 +60,6 @@ double geomean(const std::vector<double> &xs);
 
 /** Harmonic mean; panics if any value is non-positive. */
 double harmonicMean(const std::vector<double> &xs);
-
-/** Coefficient of variation (stddev / mean). */
-double coefficientOfVariation(const std::vector<double> &xs);
 
 /**
  * Lag-k sample autocorrelation; returns 0 when undefined (constant

@@ -8,13 +8,6 @@ namespace rigor {
 namespace stats {
 
 double
-normalPdf(double x)
-{
-    static const double inv_sqrt_2pi = 0.3989422804014326779399461;
-    return inv_sqrt_2pi * std::exp(-0.5 * x * x);
-}
-
-double
 normalCdf(double x)
 {
     return 0.5 * std::erfc(-x * M_SQRT1_2);

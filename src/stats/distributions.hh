@@ -15,9 +15,6 @@
 namespace rigor {
 namespace stats {
 
-/** Standard normal probability density at x. */
-double normalPdf(double x);
-
 /** Standard normal cumulative distribution at x. */
 double normalCdf(double x);
 

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -321,6 +322,41 @@ verifyStateText(const std::string &text, Json *payload,
 {
     std::string scratch;
     return verifyEnvelope(text, payload, why ? why : &scratch);
+}
+
+bool
+verifyCanonicalState(const std::string &text, CanonicalState &out,
+                     int outlineDepth)
+{
+    static const std::string head = "{\"crc32\":\"";
+    static const std::string mid =
+        strprintf("\",\"format\":\"%s\",\"payload\":", kStateFormat);
+    static const std::string tail =
+        strprintf(",\"version\":%d}", kStateVersion);
+    constexpr size_t kCrcDigits = 8;
+
+    out.outline.clear();
+    if (!Json::strip(text, out.text, &out.outline, outlineDepth))
+        return false;
+    const std::string &s = out.text;
+    size_t crcAt = head.size();
+    size_t payloadAt = crcAt + kCrcDigits + mid.size();
+    // A payload of at least one byte: the CRC of nothing is 0.
+    if (s.size() <= payloadAt + tail.size() ||
+        s.compare(0, head.size(), head) != 0 ||
+        s.compare(crcAt + kCrcDigits, mid.size(), mid) != 0 ||
+        s.compare(s.size() - tail.size(), tail.size(), tail) != 0)
+        return false;
+    uint32_t stored = 0;
+    const char *digits = s.data() + crcAt;
+    auto [ptr, ec] =
+        std::from_chars(digits, digits + kCrcDigits, stored, 16);
+    if (ec != std::errc() || ptr != digits + kCrcDigits)
+        return false;
+    out.payloadBegin = payloadAt;
+    out.payloadEnd = s.size() - tail.size();
+    return crc32(s.data() + payloadAt, out.payloadEnd - payloadAt) ==
+        stored;
 }
 
 void

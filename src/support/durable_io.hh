@@ -20,6 +20,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <sys/types.h>
 
@@ -139,12 +141,47 @@ StateLoad loadStateFile(const std::string &path);
 /**
  * Non-throwing verification of one envelope's raw text, for callers
  * (fsck, tests) that need to classify damage instead of recovering
- * from it. On success fills `payload` (when non-null) and returns
- * true; on any defect returns false with a one-line diagnosis in
- * `why`.
+ * from it. This is the tree path: parse the whole text, check the
+ * envelope members, re-dump the payload and CRC the dump, so it
+ * accepts any layout and key order. On success fills `payload` (when
+ * non-null) and returns true; on any defect returns false with a
+ * one-line diagnosis in `why`.
  */
 bool verifyStateText(const std::string &text, Json *payload,
                      std::string *why);
+
+/** An envelope verified from its bytes (verifyCanonicalState). */
+struct CanonicalState
+{
+    /** The file's text without the whitespace outside strings. */
+    std::string text;
+    /** Json::strip's outline of `text`. */
+    std::vector<Json::Span> outline;
+    /** Where the payload sits in `text`. */
+    size_t payloadBegin = 0, payloadEnd = 0;
+
+    std::string_view
+    payload() const
+    {
+        return std::string_view(text).substr(payloadBegin,
+                                             payloadEnd - payloadBegin);
+    }
+};
+
+/**
+ * Verify an envelope from its bytes, building no tree. True when
+ * `text`, stripped of whitespace outside strings, is exactly
+ * `{"crc32":"<8 hex digits>","format":"rigorbench-state",
+ * "payload":P,"version":1}` and CRC-32 of P equals the stored value:
+ * P is then the canonical dump writeStateFile hashed, and parses to
+ * the same payload as the whole text does. False only means "not
+ * proven" (another layout, key order or number spelling, or damage):
+ * the tree path, verifyStateText(), decides and words the verdict.
+ * The two differ only on a CRC-32 collision, which the tree path
+ * accepts too. `outlineDepth` is passed to Json::strip.
+ */
+bool verifyCanonicalState(const std::string &text, CanonicalState &out,
+                          int outlineDepth);
 
 /** True when `path` or its `.bak` exists (resume should be tried). */
 bool stateFileExists(const std::string &path);

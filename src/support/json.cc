@@ -1,8 +1,10 @@
 #include "support/json.hh"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <new>
 #include <system_error>
@@ -376,11 +378,19 @@ Json::dump(int indent) const
 
 namespace {
 
+/** The six bytes C-locale isspace() accepts, whatever the locale. */
+constexpr bool
+isSpace(char c)
+{
+    return c == ' ' || c == '\n' || c == '\t' || c == '\r' ||
+        c == '\v' || c == '\f';
+}
+
 /** Recursive-descent JSON parser over a flat buffer. */
 class Parser
 {
   public:
-    explicit Parser(const std::string &text) : s(text), pos(0) {}
+    explicit Parser(std::string_view text) : s(text), pos(0) {}
 
     Json
     parseDocument()
@@ -397,14 +407,6 @@ class Parser
     fail(const char *what)
     {
         fatal("JSON parse error at offset %zu: %s", pos, what);
-    }
-
-    /** The six bytes C-locale isspace() accepts, whatever the locale. */
-    static bool
-    isSpace(char c)
-    {
-        return c == ' ' || c == '\n' || c == '\t' || c == '\r' ||
-            c == '\v' || c == '\f';
     }
 
     static bool
@@ -486,7 +488,7 @@ class Parser
             size_t run = pos;
             while (pos < s.size() && s[pos] != '"' && s[pos] != '\\')
                 ++pos;
-            out.append(s, run, pos - run);
+            out.append(s.data() + run, pos - run);
             if (pos >= s.size())
                 fail("unterminated string");
             if (s[pos++] == '"')
@@ -638,7 +640,7 @@ class Parser
         }
     }
 
-    const std::string &s;
+    std::string_view s;
     size_t pos;
     int depth = 0;
 };
@@ -646,10 +648,177 @@ class Parser
 } // namespace
 
 Json
-Json::parse(const std::string &text)
+Json::parse(std::string_view text)
 {
     Parser p(text);
     return p.parseDocument();
+}
+
+namespace {
+
+/** How strip() treats a byte outside strings. */
+enum ByteClass : unsigned char
+{
+    kWordByte,   ///< part of a number or literal
+    kSpaceByte,  ///< dropped
+    kQuoteByte,  ///< starts a string
+    kStructByte, ///< one of {}[],:
+};
+
+constexpr std::array<ByteClass, 256> kByteClass = [] {
+    std::array<ByteClass, 256> t{};
+    for (int i = 0; i < 256; ++i) {
+        char c = static_cast<char>(i);
+        t[static_cast<size_t>(i)] = isSpace(c) ? kSpaceByte
+            : c == '"'                          ? kQuoteByte
+            : c == '{' || c == '}' || c == '[' || c == ']' ||
+                c == ',' || c == ':'
+            ? kStructByte
+            : kWordByte;
+    }
+    return t;
+}();
+
+ByteClass
+byteClass(char c)
+{
+    return kByteClass[static_cast<unsigned char>(c)];
+}
+
+} // namespace
+
+bool
+Json::strip(std::string_view text, std::string &out,
+            std::vector<Span> *outline, int outlineDepth)
+{
+    constexpr size_t kNone = static_cast<size_t>(-1);
+    // What the next token may be, as far as the outline cares: a
+    // value starts a span, a key names the next one.
+    enum class Next { Value, Key, Other };
+    struct Open
+    {
+        char close;
+        size_t span;
+    };
+    std::vector<Open> stack;
+    Next next = Next::Value;
+    size_t keyBegin = 0, keyEnd = 0;
+    size_t scalarSpan = kNone;
+
+    out.resize(text.size());
+    char *o = out.data();
+    const char *p = text.data();
+    const char *end = p + text.size();
+    auto at = [&] { return static_cast<size_t>(o - out.data()); };
+
+    while (p != end) {
+        ByteClass cls = byteClass(*p);
+        if (cls == kSpaceByte) {
+            // Indentation is most of a pretty-printed file: skip
+            // spaces eight at a time.
+            constexpr uint64_t kEightSpaces = 0x2020202020202020ull;
+            uint64_t eight;
+            ++p;
+            while (end - p >= 8 &&
+                   (std::memcpy(&eight, p, 8), eight == kEightSpaces))
+                p += 8;
+            while (p != end && byteClass(*p) == kSpaceByte)
+                ++p;
+            if (p != end && o != out.data() &&
+                byteClass(o[-1]) == kWordByte &&
+                byteClass(*p) == kWordByte)
+                return false;
+            continue;
+        }
+
+        // A closing bracket right after `[` (or `:`) ends an empty
+        // array (or a malformed member), not a value.
+        size_t span = kNone;
+        if (next == Next::Value && *p != ']' && *p != '}') {
+            size_t depth = stack.size();
+            if (outline && depth >= 1 &&
+                depth <= static_cast<size_t>(outlineDepth)) {
+                span = outline->size();
+                outline->push_back(Span{static_cast<int>(depth),
+                                        keyBegin, keyEnd, at(), at()});
+            }
+            keyBegin = keyEnd = 0;
+            next = Next::Other;
+        }
+
+        if (cls == kWordByte) {
+            do
+                *o++ = *p++;
+            while (p != end && byteClass(*p) == kWordByte);
+            if (span != kNone)
+                scalarSpan = span;
+            continue;
+        }
+
+        if (cls == kQuoteByte) {
+            size_t begin = at();
+            *o++ = *p++;
+            for (;;) {
+                const char *run = p;
+                while (p != end && *p != '"' && *p != '\\')
+                    ++p;
+                std::memcpy(o, run, static_cast<size_t>(p - run));
+                o += p - run;
+                if (p == end || (*p == '\\' && p + 1 == end))
+                    return false;
+                if (*p == '"')
+                    break;
+                *o++ = *p++;
+                *o++ = *p++;
+            }
+            *o++ = *p++;
+            if (next == Next::Key) {
+                keyBegin = begin;
+                keyEnd = at();
+                next = Next::Other;
+            }
+            if (span != kNone)
+                (*outline)[span].end = at();
+            continue;
+        }
+
+        char c = *p;
+        if (scalarSpan != kNone && (c == '}' || c == ']' || c == ',')) {
+            (*outline)[scalarSpan].end = at();
+            scalarSpan = kNone;
+        }
+        *o++ = *p++;
+        switch (c) {
+          case '{':
+          case '[':
+            stack.push_back(Open{c == '{' ? '}' : ']', span});
+            if (stack.size() > static_cast<size_t>(kMaxDepth))
+                return false;
+            next = c == '{' ? Next::Key : Next::Value;
+            break;
+          case '}':
+          case ']':
+            if (stack.empty() || stack.back().close != c)
+                return false;
+            if (stack.back().span != kNone)
+                (*outline)[stack.back().span].end = at();
+            stack.pop_back();
+            next = Next::Other;
+            break;
+          case ',':
+            if (stack.empty())
+                return false;
+            next = stack.back().close == '}' ? Next::Key : Next::Value;
+            break;
+          default: // ':'
+            next = Next::Value;
+            break;
+        }
+    }
+    if (scalarSpan != kNone)
+        (*outline)[scalarSpan].end = at();
+    out.resize(at());
+    return stack.empty();
 }
 
 } // namespace rigor

@@ -121,7 +121,35 @@ class Json
      * Parse a JSON document; throws FatalError on malformed input,
      * including nesting deeper than kMaxDepth.
      */
-    static Json parse(const std::string &text);
+    static Json parse(std::string_view text);
+
+    /** Where one value sits in a strip()ped text. */
+    struct Span
+    {
+        /** 1 for a member or element of the document, 2 below... */
+        int depth = 0;
+        /** A member's key, quotes included; empty for an element. */
+        size_t keyBegin = 0, keyEnd = 0;
+        /** The value's bytes. */
+        size_t begin = 0, end = 0;
+    };
+
+    /**
+     * Copy `text` into `out` without the whitespace outside strings
+     * (the set parse() skips), and append to `outline`, in document
+     * order, a Span for every value nested at most `outlineDepth`
+     * deep. A lexical pass, not a second grammar: it follows strings
+     * and brackets only, so true does not mean `text` parses. It does
+     * mean `out` lexes to the same tokens as `text`, so both parse to
+     * the same value or both fail.
+     * @return false, leaving `out` and `outline` unspecified, on an
+     * unterminated string, an unbalanced bracket, nesting deeper than
+     * kMaxDepth, or whitespace between two characters of a number or
+     * literal (dropping it would join two tokens).
+     */
+    static bool strip(std::string_view text, std::string &out,
+                      std::vector<Span> *outline = nullptr,
+                      int outlineDepth = 0);
 
   private:
     using Array = std::vector<Json>;

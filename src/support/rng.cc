@@ -59,12 +59,6 @@ Rng::nextDouble()
 }
 
 double
-Rng::nextUniform(double lo, double hi)
-{
-    return lo + (hi - lo) * nextDouble();
-}
-
-double
 Rng::nextGaussian()
 {
     if (gaussHave) {

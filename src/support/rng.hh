@@ -64,9 +64,6 @@ class Rng
     /** Uniform double in [0, 1). */
     double nextDouble();
 
-    /** Uniform double in [lo, hi). */
-    double nextUniform(double lo, double hi);
-
     /** Standard normal deviate (Box-Muller, cached pair). */
     double nextGaussian();
 

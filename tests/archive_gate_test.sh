@@ -8,7 +8,10 @@
 # de-JIT-ed run is then gated against the fast baseline and must fail
 # with the stable exit code 4 (true positive). Archive hygiene is
 # exercised by planting a truncated entry (quarantined with a warning,
-# list still exits 0) and pruning down to the newest entry.
+# list still exits 0), hand-reformatting two entries (they must list
+# and compare exactly as before), planting a CRC-valid entry without
+# a fingerprint (quarantined, exit 0) and pruning down to the newest
+# entry.
 #
 # Usage: archive_gate_test.sh /path/to/rigorbench
 set -u
@@ -92,6 +95,59 @@ grep -q "quarantined" "$WORK/list.txt" ||
 # The healthy entries survived.
 grep -q "base" "$WORK/list.txt" && grep -q "slow" "$WORK/list.txt" ||
     fail "healthy entries vanished from the listing"
+
+# --- a hand-reformatted entry lists and compares as before -----------
+# Entry 1 gets tab indentation (still canonical once whitespace is
+# stripped); entry 2 gets its crc32 member moved last (only the tree
+# path can verify that). Both edits keep the file size, which the
+# listing prints.
+"$BIN" archive list --archive "$ARCH" >"$WORK/list_before.txt" \
+    2>/dev/null || fail "archive list exited $?"
+"$BIN" compare 1 2 --archive "$ARCH" >"$WORK/cmp_before.md" \
+    2>/dev/null || fail "compare exited $? (want 0)"
+E1="$ARCH/entry-000001.json"
+E2="$ARCH/entry-000002.json"
+sed 's/^  /\t\t/' "$E1" >"$WORK/e1" && mv "$WORK/e1" "$E1" ||
+    fail "re-indenting entry 1 failed"
+awk 'NR == 2 { crc = $0; sub(/,$/, "", crc); next }
+     $0 == "  \"version\": 1" { print $0 ","; print crc; next }
+     { print }' "$E2" >"$WORK/e2" && mv "$WORK/e2" "$E2" ||
+    fail "reordering entry 2 failed"
+grep -q '^  "crc32"' "$E2" && ! sed -n 2p "$E2" | grep -q crc32 ||
+    fail "entry 2 was not reordered"
+"$BIN" archive list --archive "$ARCH" >"$WORK/list_after.txt" \
+    2>"$WORK/list_after.err" || fail "archive list exited $?"
+cmp -s "$WORK/list_before.txt" "$WORK/list_after.txt" ||
+    fail "reformatted entries changed the listing"
+[ ! -s "$WORK/list_after.err" ] ||
+    fail "reformatted entries drew warnings: $(cat "$WORK/list_after.err")"
+"$BIN" compare 1 2 --archive "$ARCH" >"$WORK/cmp_after.md" \
+    2>/dev/null || fail "compare exited $? (want 0)"
+cmp -s "$WORK/cmp_before.md" "$WORK/cmp_after.md" ||
+    fail "reformatted entries changed the compare report"
+
+# --- a CRC-valid entry without a fingerprint is quarantined ----------
+python3 - "$ARCH/entry-000901.json" <<'EOF' ||
+import json, sys, zlib
+payload = {"command": "run", "runs": [{}],
+           "schema": "rigorbench-archive-entry", "version": 2}
+compact = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+envelope = {"crc32": "%08x" % zlib.crc32(compact.encode()),
+            "format": "rigorbench-state", "payload": payload,
+            "version": 1}
+with open(sys.argv[1], "w") as f:
+    f.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+EOF
+    fail "planting the fingerprint-less entry failed"
+"$BIN" archive list --archive "$ARCH" >"$WORK/list3.txt" 2>&1
+rc=$?
+[ "$rc" -eq 0 ] || fail "archive list with a fingerprint-less entry exited $rc"
+grep -q "payload has no fingerprint" "$WORK/list3.txt" ||
+    fail "archive list did not say why it quarantined"
+[ -e "$ARCH/entry-000901.json.quarantine" ] ||
+    fail "fingerprint-less entry was not renamed aside"
+"$BIN" compare HEAD~1 HEAD --archive "$ARCH" >/dev/null 2>&1 ||
+    fail "compare after the quarantine exited $? (want 0)"
 
 # --- prune keeps the newest entries ----------------------------------
 "$BIN" archive prune --archive "$ARCH" --keep 1 \

@@ -12,10 +12,12 @@
 #include <gtest/gtest.h>
 
 #include "archive/archive.hh"
+#include "archive/fsck.hh"
 #include "support/durable_io.hh"
 #include "support/filelock.hh"
 #include "support/fingerprint.hh"
 #include "support/logging.hh"
+#include "support/str.hh"
 
 namespace rigor {
 namespace archive {
@@ -421,6 +423,133 @@ TEST(Archive, PruneKeepsNewestAndNeverReusesIds)
     EXPECT_EQ(ar.append(makeConfig(9), "", "run",
                         {makeRun("sieve", 1.0)}),
               5);
+}
+
+void
+expectSameSummary(const EntrySummary &a, const EntrySummary &b)
+{
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.path, b.path);
+    EXPECT_EQ(a.fingerprint, b.fingerprint);
+    EXPECT_EQ(a.label, b.label);
+    EXPECT_EQ(a.command, b.command);
+    EXPECT_EQ(a.runCount, b.runCount);
+    EXPECT_EQ(a.profileCount, b.profileCount);
+    EXPECT_EQ(a.sizeBytes, b.sizeBytes);
+    EXPECT_EQ(a.tiers, b.tiers);
+}
+
+// scan() summarizes a skeleton of each canonical entry and load() the
+// whole payload: every field must agree, whichever path verified it.
+TEST(Archive, ScanSummariesEqualLoadSummaries)
+{
+    ScratchDir scratch;
+    RunArchive ar(scratch.dir());
+    Json config = makeConfig(7);
+    Json tiers = Json::array();
+    tiers.push("interp");
+    tiers.push("adaptive");
+    config.set("tiers", std::move(tiers));
+    Json profile = Json::object();
+    profile.set("counters", Json::object());
+    ar.append(config, "say \"hi\" \\ [x]", "suite",
+              {makeRun("sieve", 1.0), makeRun("queens", 2.0),
+               makeRun("nbody", 3.0)},
+              {profile, Json(), profile});
+    ar.append(makeConfig(1), "", "run", {makeRun("sieve", 1.5)});
+    ar.append(makeConfig(2), "{\"runs\":[]}", "run",
+              {makeRun("sieve", 1.5)}, {Json()});
+
+    // Entry 4: entry 1 re-indented (still canonical once stripped).
+    // Entry 5: entry 1 with its envelope reordered (the tree path).
+    // Entry 6: entry 1 with an empty profiles array (canonical).
+    std::string text;
+    ASSERT_TRUE(readFile(scratch.path("entry-000001.json"), text));
+    Json envelope = Json::parse(text);
+    atomicWriteFile(scratch.path("entry-000004.json"), envelope.dump(4));
+    std::string reordered = strprintf(
+        "{\"payload\": %s, \"crc32\": \"%s\", \"version\": 1, "
+        "\"format\": \"rigorbench-state\"}",
+        envelope.at("payload").dump(2).c_str(),
+        envelope.at("crc32").asString().c_str());
+    atomicWriteFile(scratch.path("entry-000005.json"), reordered);
+    Json noProfiles = envelope.at("payload");
+    noProfiles.set("profiles", Json::array());
+    writeStateFile(scratch.path("entry-000006.json"), noProfiles);
+
+    ScanResult scan = ar.scan();
+    ASSERT_EQ(scan.entries.size(), 6u);
+    EXPECT_TRUE(scan.quarantined.empty());
+    for (const auto &s : scan.entries) {
+        SCOPED_TRACE(s.path);
+        expectSameSummary(s, ar.load(s).summary);
+    }
+    EXPECT_EQ(scan.entries[0].label, "say \"hi\" \\ [x]");
+    EXPECT_EQ(scan.entries[0].runCount, 3);
+    EXPECT_EQ(scan.entries[0].profileCount, 2);
+    EXPECT_EQ(scan.entries[0].tiers,
+              (std::vector<std::string>{"interp", "adaptive"}));
+    EXPECT_EQ(scan.entries[2].label, "{\"runs\":[]}");
+    EXPECT_EQ(scan.entries[2].profileCount, 0);
+    for (int i : {3, 4}) {
+        EXPECT_EQ(scan.entries[i].label, scan.entries[0].label);
+        EXPECT_EQ(scan.entries[i].profileCount, 2);
+    }
+    EXPECT_EQ(scan.entries[5].runCount, 3);
+    EXPECT_EQ(scan.entries[5].profileCount, 0);
+}
+
+// Regression: a CRC-valid entry without a fingerprint made scan()
+// panic (Json::at: missing key), taking `archive list` and `compare`
+// down, while fsck called the same file a corrupt entry. scan() now
+// applies fsck's check and quarantines it.
+TEST(Archive, ScanQuarantinesAUsableLookingEntryFsckRejects)
+{
+    ScratchDir scratch;
+    RunArchive ar(scratch.dir());
+    ar.append(makeConfig(1), "good", "run", {makeRun("sieve", 1.0)});
+    Json payload = Json::object();
+    payload.set("schema", "rigorbench-archive-entry");
+    payload.set("version", 2);
+    payload.set("command", "run");
+    Json runs = Json::array();
+    runs.push(Json::object());
+    payload.set("runs", std::move(runs));
+    writeStateFile(scratch.path("entry-000002.json"), payload);
+
+    FsckReport report = fsckArchive(scratch.dir(), false);
+    ASSERT_EQ(report.findings.size(), 1u);
+    EXPECT_EQ(report.findings[0].kind, "corrupt-entry");
+    EXPECT_NE(report.findings[0].detail.find("payload has no fingerprint"),
+              std::string::npos)
+        << report.findings[0].detail;
+
+    ScanResult scan = ar.scan();
+    ASSERT_EQ(scan.entries.size(), 1u);
+    EXPECT_EQ(scan.entries[0].label, "good");
+    ASSERT_EQ(scan.quarantined.size(), 1u);
+    EXPECT_EQ(ar.resolve("HEAD").summary.label, "good");
+
+    // Every member a summary reads is checked, so none of these
+    // panics either.
+    Json good = Json::parse(payload.dump());
+    good.set("fingerprint", "f");
+    std::vector<std::pair<std::string, Json>> bad = {
+        {"label", Json(3)},
+        {"profiles", Json::object()},
+        {"config", Json::parse("{\"tiers\": [\"interp\", 1]}")},
+        {"runs", Json::parse("{\"a\": {}}")},
+        {"runs", Json::array()},
+        {"version", Json("2")},
+    };
+    for (const auto &[key, value] : bad) {
+        Json p = good;
+        p.set(key, value);
+        writeStateFile(scratch.path("entry-000003.json"), p);
+        ScanResult again = ar.scan();
+        EXPECT_EQ(again.entries.size(), 1u) << key;
+        EXPECT_EQ(again.quarantined.size(), 1u) << key;
+    }
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
+#include "support/str.hh"
 
 namespace rigor {
 namespace {
@@ -318,6 +319,71 @@ TEST(StateFile, ExistsChecksBackupToo)
     StateLoad load = loadStateFile(p);
     EXPECT_TRUE(load.usedBackup);
     EXPECT_EQ(load.payload.dump(), samplePayload(1).dump());
+}
+
+TEST(StateFile, CanonicalBytesVerifyWithoutATree)
+{
+    ScratchDir dir;
+    std::string p = dir.path("state.json");
+    Json payload = samplePayload(1);
+    payload.set("note", "a \"quoted\" \\ and\ta tab");
+    writeStateFile(p, payload);
+    std::string text;
+    ASSERT_TRUE(readFile(p, text));
+
+    CanonicalState canon;
+    ASSERT_TRUE(verifyCanonicalState(text, canon, 0));
+    EXPECT_EQ(canon.payload(), payload.dump());
+    // Other whitespace strips to the same bytes: still canonical.
+    std::string reindented = Json::parse(text).dump(4);
+    EXPECT_TRUE(verifyCanonicalState(reindented, canon, 0));
+    std::string vf = text;
+    for (size_t at = vf.find(",\n"); at != std::string::npos;
+         at = vf.find(",\n", at + 1))
+        vf[at + 1] = at % 2 ? '\v' : '\f';
+    EXPECT_TRUE(verifyCanonicalState(vf, canon, 0));
+    EXPECT_TRUE(verifyStateText(vf, nullptr, nullptr));
+
+    // Damage is never canonical, and the tree path agrees.
+    std::string flipped = text;
+    flipped[flipped.find("\"marker\": 1") + 10] = '7';
+    EXPECT_FALSE(verifyCanonicalState(flipped, canon, 0));
+    EXPECT_FALSE(verifyStateText(flipped, nullptr, nullptr));
+}
+
+TEST(StateFile, OtherLayoutsFallBackToTheTreePath)
+{
+    ScratchDir dir;
+    Json payload = samplePayload(1);
+    std::string crc = strprintf("%08x", crc32(payload.dump()));
+    std::string body = payload.dump(2);
+    std::string canonical = strprintf(
+        "{\"crc32\": \"%s\", \"format\": \"%s\", \"payload\": %s, "
+        "\"version\": %d}",
+        crc.c_str(), kStateFormat, body.c_str(), kStateVersion);
+    CanonicalState canon;
+    ASSERT_TRUE(verifyCanonicalState(canonical, canon, 0));
+
+    std::string spelled = canonical;
+    spelled.replace(spelled.find("1.5"), 3, "1.50");
+    const std::string variants[] = {
+        strprintf("{\"version\": %d, \"payload\": %s, \"format\": "
+                  "\"%s\", \"crc32\": \"%s\"}",
+                  kStateVersion, body.c_str(), kStateFormat,
+                  crc.c_str()),
+        spelled,
+        "{\"extra\": true, " + canonical.substr(1),
+    };
+    for (const auto &text : variants) {
+        EXPECT_FALSE(verifyCanonicalState(text, canon, 0)) << text;
+        std::string why;
+        EXPECT_TRUE(verifyStateText(text, nullptr, &why)) << why;
+        std::string p = dir.path("state.json");
+        atomicWriteFile(p, text);
+        StateLoad load = loadStateFile(p);
+        EXPECT_FALSE(load.usedBackup) << load.warning;
+        EXPECT_EQ(load.payload.dump(), payload.dump());
+    }
 }
 
 } // namespace

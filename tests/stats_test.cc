@@ -6,6 +6,7 @@
  * and hypothesis tests on separable/inseparable samples.
  */
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -39,6 +40,22 @@ TEST(Descriptive, MedianAndPercentiles)
     EXPECT_DOUBLE_EQ(percentile(xs, 50), 2.5);
     std::vector<double> one = {7};
     EXPECT_DOUBLE_EQ(median(one), 7.0);
+}
+
+TEST(Descriptive, SortedPercentileIsPercentileWithoutTheSort)
+{
+    Rng rng(7);
+    std::vector<double> xs;
+    for (int i = 0; i < 37; ++i)
+        xs.push_back(rng.nextGaussian());
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    for (double p : {0.0, 2.5, 25.0, 50.0, 75.0, 97.5, 100.0})
+        EXPECT_EQ(sortedPercentile(sorted, p), percentile(xs, p)) << p;
+    Summary s = summarize(xs);
+    EXPECT_EQ(s.q1, percentile(xs, 25.0));
+    EXPECT_EQ(s.median, percentile(xs, 50.0));
+    EXPECT_EQ(s.q3, percentile(xs, 75.0));
 }
 
 TEST(Descriptive, GeomeanAndHarmonic)

@@ -290,6 +290,70 @@ TEST(Json, PrettyPrintIndents)
     EXPECT_NE(pretty.find("\n  \"a\": 1"), std::string::npos);
 }
 
+TEST(Json, StripDropsWhitespaceOutsideStringsOnly)
+{
+    std::string text = "{\n\t\"a b\" :\v[ 1 ,\f-2.5e3 ],\r\n"
+                       "  \"q\\\" \\\\\": \" x \\\" y \" }\n";
+    std::string out;
+    ASSERT_TRUE(Json::strip(text, out));
+    EXPECT_EQ(out, "{\"a b\":[1,-2.5e3],\"q\\\" \\\\\":\" x \\\" y \"}");
+    // The stripped text parses to the same value.
+    EXPECT_EQ(Json::parse(out).dump(), Json::parse(text).dump());
+}
+
+TEST(Json, StripOutlinesMembersAndElements)
+{
+    std::string out;
+    std::vector<Json::Span> spans;
+    ASSERT_TRUE(Json::strip(
+        "{ \"a\": [ 1, {\"b\": null} ], \"e\": [ ], \"c\": \"s\" }", out,
+        &spans, 2));
+    ASSERT_EQ(out, "{\"a\":[1,{\"b\":null}],\"e\":[],\"c\":\"s\"}");
+    auto key = [&](const Json::Span &s) {
+        return out.substr(s.keyBegin, s.keyEnd - s.keyBegin);
+    };
+    auto value = [&](const Json::Span &s) {
+        return out.substr(s.begin, s.end - s.begin);
+    };
+    // Document order, depth 1 and 2 only: a, its two elements, e
+    // (no elements), c.
+    ASSERT_EQ(spans.size(), 5u);
+    EXPECT_EQ(spans[0].depth, 1);
+    EXPECT_EQ(key(spans[0]), "\"a\"");
+    EXPECT_EQ(value(spans[0]), "[1,{\"b\":null}]");
+    EXPECT_EQ(spans[1].depth, 2);
+    EXPECT_EQ(key(spans[1]), "");
+    EXPECT_EQ(value(spans[1]), "1");
+    EXPECT_EQ(value(spans[2]), "{\"b\":null}");
+    EXPECT_EQ(spans[3].depth, 1);
+    EXPECT_EQ(key(spans[3]), "\"e\"");
+    EXPECT_EQ(value(spans[3]), "[]");
+    EXPECT_EQ(spans[4].depth, 1);
+    EXPECT_EQ(key(spans[4]), "\"c\"");
+    EXPECT_EQ(value(spans[4]), "\"s\"");
+}
+
+// Each input here fails to parse; stripping it must not turn it into
+// one that parses (or take the parser's nesting limit past its own).
+TEST(Json, StripRefusesWhatWouldChangeTheTokens)
+{
+    const size_t limit = Json::kMaxDepth;
+    const std::string refused[] = {
+        "[1 2]", "[tr\tue]", "[1]]", "[}", "{\"a\":\"open",
+        "\"ends in \\", "{\"a\":[1}",
+        std::string(limit + 1, '[') + std::string(limit + 1, ']')};
+    for (const auto &text : refused) {
+        std::string out;
+        EXPECT_FALSE(Json::strip(text, out)) << text;
+        EXPECT_THROW(Json::parse(text), FatalError) << text;
+    }
+    std::string out;
+    std::string atLimit =
+        std::string(limit, '[') + std::string(limit, ']');
+    EXPECT_TRUE(Json::strip(atLimit, out));
+    EXPECT_EQ(out, atLimit);
+}
+
 TEST(Csv, QuotingRules)
 {
     EXPECT_EQ(CsvWriter::quote("plain"), "plain");
