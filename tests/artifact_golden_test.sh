@@ -11,6 +11,8 @@
 #   - `archive list`;
 #   - `compare 1 2 --json` (interp entry vs adaptive entry);
 #   - `sequential nbody` with --metrics and --trace;
+#   - the one-shot `compare nbody` (stdout, --metrics, --trace) and
+#     `profile nbody` (stdout);
 #   - a small `suite` with a per-invocation checkpoint, --metrics and
 #     --trace (report, resume state, metrics, trace), the same design
 #     with --archive (its entry), and the same checkpointed suite
@@ -54,6 +56,11 @@ done
 "$BIN" sequential nbody --size 4 --metrics seq-metrics.json \
     --trace seq-trace.json --quiet >seq.txt 2>/dev/null ||
     fail "sequential exited $?"
+"$BIN" compare nbody --size 4 --invocations 2 --iterations 3 \
+    --metrics cmp-metrics.json --trace cmp-trace.json --quiet \
+    >cmp.txt 2>/dev/null || fail "compare nbody exited $?"
+"$BIN" profile nbody --size 4 --iterations 3 --quiet >profile.txt \
+    2>/dev/null || fail "profile exited $?"
 
 SUITE=(suite --invocations 2 --iterations 2 --size 4 --quiet)
 CKPT=(--checkpoint-every 1 --metrics suite-metrics.json
@@ -73,6 +80,7 @@ rc=$?
 FILES=(run-*.json metrics-*.json trace-*.json archive/entry-*.json
        archive-list.txt compare.json compare.md
        seq.txt seq-metrics.json seq-trace.json
+       cmp.txt cmp-metrics.json cmp-trace.json profile.txt
        suite-report.txt suite-state.json suite-metrics.json
        suite-trace.json suite-archive/entry-*.json
        crash/suite-state.json)
