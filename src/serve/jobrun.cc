@@ -9,6 +9,7 @@
 
 #include "serve/jobrun.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstdarg>
 #include <deque>
@@ -24,8 +25,10 @@
 #include "explain/explain.hh"
 #include "harness/analysis.hh"
 #include "harness/fault.hh"
+#include "harness/profile.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
+#include "harness/sequential.hh"
 #include "support/durable_io.hh"
 #include "support/interrupt.hh"
 #include "support/logging.hh"
@@ -90,16 +93,73 @@ makeConfig(const JobEnv &env, vm::Tier tier)
     return cfg;
 }
 
-// Defined with the other archive plumbing below.
-void archiveAppend(const JobEnv &env,
-                   const std::vector<harness::RunResult> &runs);
-
-void
-dumpOutputs(const JobEnv &env, const harness::RunResult &run)
+/** The estimate block each measured run prints. */
+std::string
+renderEstimate(const harness::RunResult &run)
 {
-    writeRunArtifacts(env.spec, run, [&env](const std::string &s) {
-        env.out("%s", s.c_str());
-    });
+    std::string s;
+    auto add = [&s](const std::string &chunk) { s += chunk; };
+    // Failure/quarantine bookkeeping appended after a degraded run.
+    auto addFailures = [&]() {
+        if (run.failures.empty() && !run.quarantined)
+            return;
+        add(strprintf("  failures: %zu recorded, %zu invocation(s) "
+                      "succeeded of %d attempted\n",
+                      run.failures.size(), run.invocations.size(),
+                      run.invocationsAttempted));
+        for (const auto &f : run.failures)
+            add(strprintf("    inv %d attempt %d [%s]: %s\n",
+                          f.invocation, f.attempt,
+                          harness::failureKindName(f.kind),
+                          f.message.c_str()));
+        if (run.quarantined)
+            add(strprintf("  QUARANTINED: %s\n",
+                          run.quarantineReason.c_str()));
+    };
+    if (run.invocations.empty()) {
+        add(strprintf("%s / %s: no successful invocations\n",
+                      run.workload.c_str(), vm::tierName(run.tier)));
+        addFailures();
+        return s;
+    }
+    auto est = harness::rigorousEstimate(run);
+    const auto &ss = est.steadyState;
+    add(strprintf("%s / %s  (%zu invocations x %zu iterations, "
+                  "size %lld)\n",
+                  run.workload.c_str(), vm::tierName(run.tier),
+                  run.invocations.size(),
+                  run.invocations.front().samples.size(),
+                  static_cast<long long>(run.size)));
+    add(strprintf("  time/iter: %s ms   (%s)\n",
+                  harness::formatCi(est.ci, 4).c_str(),
+                  harness::formatCiPercent(est.ci, 4).c_str()));
+    add(strprintf("  series: %d flat, %d warmup, %d slowdown, "
+                  "%d no-steady-state; mean warmup %.1f iters\n",
+                  ss.flat, ss.warmup, ss.slowdown, ss.noSteadyState,
+                  ss.meanSteadyStart));
+    add(strprintf("  first invocation: %s\n",
+                  harness::sparkline(run.invocations.front().times())
+                      .c_str()));
+    addFailures();
+    return s;
+}
+
+/** The --json/--csv artifacts, with a "wrote PATH" line per file. */
+void
+writeRunArtifacts(const JobEnv &env, const harness::RunResult &run)
+{
+    const JobSpec &spec = env.spec;
+    if (!spec.jsonPath.empty()) {
+        atomicWriteFile(spec.jsonPath,
+                        harness::runToJson(run).dump(2) + "\n");
+        env.out("wrote %s\n", spec.jsonPath.c_str());
+    }
+    if (!spec.csvPath.empty()) {
+        std::ostringstream os;
+        harness::writeSeriesCsv(os, run);
+        atomicWriteFile(spec.csvPath, os.str());
+        env.out("wrote %s\n", spec.csvPath.c_str());
+    }
 }
 
 /**
@@ -451,7 +511,7 @@ runRunJob(JobEnv &env)
     auto run = harness::runExperiment(env.spec.workload,
                                       makeConfig(env, env.spec.tier));
     env.out("%s", renderEstimate(run).c_str());
-    dumpOutputs(env, run);
+    writeRunArtifacts(env, run);
     if (run.interrupted)
         return kExitInterrupted;
     if (run.invocations.empty())
@@ -460,6 +520,73 @@ runRunJob(JobEnv &env)
     // compare as if it were the whole measurement.
     if (!env.spec.archiveDir.empty())
         archiveAppend(env, {run});
+    return kExitSuccess;
+}
+
+int
+runSequentialJob(JobEnv &env)
+{
+    const JobSpec &spec = env.spec;
+    harness::SequentialConfig seq;
+    seq.targetRelativeHalfWidth = spec.targetPct / 100.0;
+    seq.maxInvocations = std::max(spec.invocations, 8);
+    auto res = harness::runSequential(spec.workload,
+                                      makeConfig(env, spec.tier), seq);
+    env.out("%s", renderEstimate(res.run).c_str());
+    if (!res.run.invocations.empty() && !res.run.interrupted) {
+        env.out("  sequential: %s after %d invocations "
+                "(target ±%.1f%%)\n",
+                res.converged ? "converged" : "budget exhausted",
+                res.invocationsUsed, spec.targetPct);
+        std::string widths;
+        for (double w : res.widthTrajectory)
+            widths += strprintf(" %.2f%%", 100.0 * w);
+        env.out("  width trajectory:%s\n", widths.c_str());
+    }
+    writeRunArtifacts(env, res.run);
+    if (res.run.interrupted)
+        return kExitInterrupted;
+    return res.run.invocations.empty() ? kExitFailure : kExitSuccess;
+}
+
+/** `compare <workload>`: the adaptive tier's speedup over interp. */
+int
+runCompareJob(JobEnv &env)
+{
+    const std::string &w = env.spec.workload;
+    auto interp =
+        harness::runExperiment(w, makeConfig(env, vm::Tier::Interp));
+    if (interp.interrupted) {
+        env.out("%s", renderEstimate(interp).c_str());
+        return kExitInterrupted;
+    }
+    auto jit =
+        harness::runExperiment(w, makeConfig(env, vm::Tier::Adaptive));
+    env.out("%s%s", renderEstimate(interp).c_str(),
+            renderEstimate(jit).c_str());
+    if (jit.interrupted)
+        return kExitInterrupted;
+    if (interp.invocations.empty() || jit.invocations.empty())
+        return kExitFailure;
+    auto s = harness::rigorousSpeedup(interp, jit);
+    env.out("speedup (adaptive over interp): %s %s\n",
+            harness::formatCi(s.ci, 3).c_str(),
+            s.significant ? "(significant)" : "(not significant)");
+    return kExitSuccess;
+}
+
+int
+runProfileJob(JobEnv &env)
+{
+    harness::ProfileConfig cfg;
+    cfg.tier = env.spec.tier;
+    cfg.iterations = env.spec.iterations;
+    cfg.size = env.spec.size;
+    cfg.seed = env.spec.seed;
+    cfg.jitThreshold = env.spec.jitThreshold;
+    env.out("%s", harness::renderProfile(
+                      harness::profileWorkload(env.spec.workload, cfg))
+                      .c_str());
     return kExitSuccess;
 }
 
@@ -726,73 +853,6 @@ makeRunnerConfig(const JobSpec &spec, vm::Tier tier,
     return cfg;
 }
 
-std::string
-renderEstimate(const harness::RunResult &run)
-{
-    std::string s;
-    auto add = [&s](const std::string &chunk) { s += chunk; };
-    // Failure/quarantine bookkeeping appended after a degraded run.
-    auto addFailures = [&]() {
-        if (run.failures.empty() && !run.quarantined)
-            return;
-        add(strprintf("  failures: %zu recorded, %zu invocation(s) "
-                      "succeeded of %d attempted\n",
-                      run.failures.size(), run.invocations.size(),
-                      run.invocationsAttempted));
-        for (const auto &f : run.failures)
-            add(strprintf("    inv %d attempt %d [%s]: %s\n",
-                          f.invocation, f.attempt,
-                          harness::failureKindName(f.kind),
-                          f.message.c_str()));
-        if (run.quarantined)
-            add(strprintf("  QUARANTINED: %s\n",
-                          run.quarantineReason.c_str()));
-    };
-    if (run.invocations.empty()) {
-        add(strprintf("%s / %s: no successful invocations\n",
-                      run.workload.c_str(), vm::tierName(run.tier)));
-        addFailures();
-        return s;
-    }
-    auto est = harness::rigorousEstimate(run);
-    const auto &ss = est.steadyState;
-    add(strprintf("%s / %s  (%zu invocations x %zu iterations, "
-                  "size %lld)\n",
-                  run.workload.c_str(), vm::tierName(run.tier),
-                  run.invocations.size(),
-                  run.invocations.front().samples.size(),
-                  static_cast<long long>(run.size)));
-    add(strprintf("  time/iter: %s ms   (%s)\n",
-                  harness::formatCi(est.ci, 4).c_str(),
-                  harness::formatCiPercent(est.ci, 4).c_str()));
-    add(strprintf("  series: %d flat, %d warmup, %d slowdown, "
-                  "%d no-steady-state; mean warmup %.1f iters\n",
-                  ss.flat, ss.warmup, ss.slowdown, ss.noSteadyState,
-                  ss.meanSteadyStart));
-    add(strprintf("  first invocation: %s\n",
-                  harness::sparkline(run.invocations.front().times())
-                      .c_str()));
-    addFailures();
-    return s;
-}
-
-void
-writeRunArtifacts(const JobSpec &spec, const harness::RunResult &run,
-                  const std::function<void(const std::string &)> &out)
-{
-    if (!spec.jsonPath.empty()) {
-        atomicWriteFile(spec.jsonPath,
-                        harness::runToJson(run).dump(2) + "\n");
-        out(strprintf("wrote %s\n", spec.jsonPath.c_str()));
-    }
-    if (!spec.csvPath.empty()) {
-        std::ostringstream os;
-        harness::writeSeriesCsv(os, run);
-        atomicWriteFile(spec.csvPath, os.str());
-        out(strprintf("wrote %s\n", spec.csvPath.c_str()));
-    }
-}
-
 void
 writeObservability(const MetricsRegistry *metrics,
                    const std::string &metricsPath, TraceEmitter *trace,
@@ -832,7 +892,10 @@ executeJob(const JobSpec &spec, const JobHooks &hooks)
     env.faults = plan.empty() ? nullptr : &injector;
 
     int rc = spec.command == "suite" ? runSuiteJob(env)
-                                     : runRunJob(env);
+        : spec.command == "sequential" ? runSequentialJob(env)
+        : spec.command == "compare"    ? runCompareJob(env)
+        : spec.command == "profile"    ? runProfileJob(env)
+                                       : runRunJob(env);
     // Partial artifacts are flushed even after an interrupt, so what
     // was measured is never lost.
     writeObservability(env.metrics, spec.metricsPath, env.trace,

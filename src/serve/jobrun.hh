@@ -4,9 +4,11 @@
  * daemon.
  *
  * Everything that turns a JobSpec into measurements and artifacts —
- * runner configuration, the resume-config fingerprint, the suite
- * loop with its checkpointer, archive appends, report rendering —
- * lives here, moved out of tools/rigorbench.cc. The CLI calls
+ * runner configuration, the resume-config fingerprint, every
+ * measurement command (run, suite, sequential, profile, the
+ * one-workload compare), the suite checkpointer, archive appends,
+ * report rendering — lives here; the CLI only parses flags into a
+ * JobSpec and dispatches. The CLI calls
  * executeJob with an output hook that writes to stdout; the daemon
  * calls the *same function* on a worker thread with hooks that stream
  * the output and progress to subscribed clients. That shared path is
@@ -65,8 +67,8 @@ struct JobHooks
 };
 
 /**
- * Execute a run/suite job: measure, render the report through
- * hooks.output, write every requested artifact.
+ * Execute a job: measure, render the report through hooks.output,
+ * write every requested artifact.
  * @return the exit code the one-shot CLI would have returned
  * (kExitSuccess, kExitFailure, or kExitInterrupted).
  * @throws FatalError for configuration errors (unknown workload,
@@ -101,13 +103,10 @@ QueryResult runQuery(const QuerySpec &query);
  */
 Json configJson(const JobSpec &spec);
 
-/** Render the estimate block `run`/`compare` print per run. */
-std::string renderEstimate(const harness::RunResult &run);
-
 /**
- * Runner configuration for one (spec, tier) measurement. Exposed so
- * the CLI's non-queueable commands (`sequential`, the one-shot
- * `compare`) share the exact config mapping queued jobs use.
+ * Runner configuration for one (spec, tier) measurement: the exact
+ * mapping every job uses, for callers that drive the runner
+ * themselves.
  */
 harness::RunnerConfig
 makeRunnerConfig(const JobSpec &spec, vm::Tier tier,
@@ -115,16 +114,8 @@ makeRunnerConfig(const JobSpec &spec, vm::Tier tier,
                  MetricsRegistry *metrics, TraceEmitter *trace);
 
 /**
- * Write the --json/--csv artifacts `spec` requests for `run`, with a
- * "wrote PATH" line per file through `out`.
- */
-void writeRunArtifacts(const JobSpec &spec,
-                       const harness::RunResult &run,
-                       const std::function<void(const std::string &)>
-                           &out);
-
-/**
- * Flush the --metrics / --trace files once a command has finished:
+ * Flush the --metrics / --trace files once a command has finished
+ * (executeJob's flush, and `fsck --metrics`):
  * each sink that is set and has a path is written atomically (open
  * trace spans closed first), with a "wrote PATH" line through `out`.
  */

@@ -2,7 +2,9 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
+#include <string_view>
 
 #include "support/logging.hh"
 #include "support/schema.hh"
@@ -13,19 +15,155 @@ namespace serve {
 
 namespace {
 
+/** A command form of the flag table and the positionals it takes. */
+struct Form
+{
+    const char *name;
+    int minArgs;
+    int maxArgs;
+    /** A JobSpec command, run by executeJob. */
+    bool job;
+};
+
+constexpr Form kForms[] = {
+    {"run", 1, 1, true},
+    {"suite", 0, 0, true},
+    {"sequential", 1, 1, true},
+    {"profile", 1, 1, true},
+    {"compare", 1, 1, true},
+    {"compare <base> <cand>", 2, 2, false},
+    {"gate", 1, 2, false},
+    {"explain", 2, 2, false},
+    // The action is the positional argument.
+    {"archive list", 1, 1, false},
+    {"archive prune", 1, 1, false},
+    {"fsck", 0, 0, false},
+    {"serve", 0, 0, false},
+    // The job command and, for most jobs, its workload.
+    {"submit", 1, 2, false},
+    {"status", 0, 1, false},
+    {"cancel", 1, 1, false},
+    {"shutdown", 0, 0, false},
+    {"list", 0, 0, false},
+    {"env", 0, 0, false},
+    {"version", 0, 0, false},
+    {"disasm", 1, 1, false},
+};
+
+constexpr size_t
+formIndex(std::string_view name)
+{
+    for (size_t i = 0; i < std::size(kForms); ++i)
+        if (name == kForms[i].name)
+            return i;
+    // Unreachable from the table below: a constant expression that
+    // throws does not compile, so a misspelt form is a build error.
+    throw "unknown command form";
+}
+
+/** The bit mask of the forms in a comma-separated list. */
+constexpr uint32_t
+forms(std::string_view list)
+{
+    uint32_t mask = 0;
+    for (;;) {
+        size_t comma = list.find(',');
+        mask |= uint32_t{1} << formIndex(list.substr(0, comma));
+        if (comma == std::string_view::npos)
+            return mask;
+        list = list.substr(comma + 1);
+    }
+}
+
+constexpr uint32_t kEveryForm = (uint32_t{1} << std::size(kForms)) - 1;
+/** Knobs of every command that measures runs with the runner. */
+constexpr uint32_t kRunner = forms("run,suite,sequential,compare,submit");
+constexpr uint32_t kQueries = forms("compare <base> <cand>,gate,explain");
+
+/** Which command forms each flag applies to. */
+struct FlagRow
+{
+    const char *flag;
+    uint32_t forms;
+};
+
+constexpr FlagRow kFlagTable[] = {
+    {"--tier", forms("run,sequential,profile,submit")},
+    {"--invocations", kRunner},
+    {"--iterations", kRunner | forms("profile")},
+    {"--size", kRunner | forms("profile")},
+    {"--jobs", kRunner},
+    {"--seed", kRunner | forms("profile") | kQueries},
+    {"--jit-threshold", kRunner | forms("profile")},
+    {"--target", forms("sequential,submit")},
+    {"--json", kQueries | forms("run,sequential,archive list,fsck,"
+                                "submit")},
+    {"--csv", forms("run,sequential,submit")},
+    {"--no-noise", kRunner},
+    {"--inject", kRunner},
+    {"--max-retries", kRunner},
+    {"--deadline-ms", kRunner},
+    // serve: restore the queue; suite: the state file. The daemon
+    // assigns a submitted suite's state file itself.
+    {"--resume", forms("suite,serve")},
+    {"--checkpoint-every", forms("suite,submit")},
+    {"--metrics", kRunner | forms("fsck")},
+    {"--trace", kRunner},
+    {"--quiet", kEveryForm},
+    {"--archive", kQueries | forms("run,suite,archive list,"
+                                   "archive prune,fsck,submit")},
+    {"--label", forms("run,suite,submit")},
+    {"--resamples", kQueries},
+    {"--confidence", kQueries},
+    {"--gate-threshold", forms("gate")},
+    {"--keep", forms("archive prune")},
+    {"--explain", forms("gate")},
+    {"--repair", forms("fsck")},
+    {"--base-tier", kQueries},
+    {"--cand-tier", kQueries},
+    {"--socket", kQueries | forms("serve,submit,status,cancel,"
+                                  "shutdown")},
+    {"--state-dir", forms("serve")},
+    {"--max-queue", forms("serve")},
+    {"--max-active", forms("serve")},
+    {"--priority", forms("submit")},
+    {"--client", forms("submit")},
+    {"--no-wait", forms("submit")},
+    {"--now", forms("shutdown")},
+};
+
+const Form *
+findForm(const std::string &name)
+{
+    for (const auto &f : kForms)
+        if (name == f.name)
+            return &f;
+    return nullptr;
+}
+
+bool
+flagApplies(const std::string &flag, uint32_t mask)
+{
+    for (const auto &row : kFlagTable)
+        if (flag == row.flag)
+            return (row.forms & mask) != 0;
+    return false;
+}
+
 /** Reject documents that are not the expected schema/version. */
-void
+int64_t
 checkHeader(const Json &j, const char *what)
 {
     if (!j.has("schema") ||
         j.at("schema").asString() != kJobSpecSchema)
         fatal("%s: not a %s document", what, kJobSpecSchema);
     int64_t v = j.at("version").asInt();
-    if (v != kJobSpecVersion)
+    if (v < kJobSpecMinVersion || v > kJobSpecVersion)
         fatal("%s: unsupported %s version %lld (this build reads "
-              "v%d)",
+              "v%d..v%d)",
               what, kJobSpecSchema, static_cast<long long>(v),
-              kJobSpecVersion);
+              kJobSpecMinVersion, kJobSpecVersion);
+    return v;
 }
 
 int
@@ -45,28 +183,91 @@ intField(const Json &j, const char *key, int64_t min_value)
 
 } // namespace
 
+bool
+isJobCommand(const std::string &form)
+{
+    const Form *f = findForm(form);
+    return f && f->job;
+}
+
+bool
+isJobFlag(const std::string &flag)
+{
+    uint32_t jobs = 0;
+    for (size_t i = 0; i < std::size(kForms); ++i)
+        if (kForms[i].job)
+            jobs |= uint32_t{1} << i;
+    return flagApplies(flag, jobs);
+}
+
+bool
+flagApplies(const std::string &flag, const std::string &form)
+{
+    const Form *f = findForm(form);
+    return f &&
+        flagApplies(flag, uint32_t{1} << static_cast<size_t>(
+                                            f - std::begin(kForms)));
+}
+
+void
+checkArity(const std::string &form, size_t count)
+{
+    const Form *f = findForm(form);
+    if (!f)
+        fatal("unknown command '%s' (see 'rigorbench help')",
+              form.c_str());
+    if (count < static_cast<size_t>(f->minArgs) ||
+        count > static_cast<size_t>(f->maxArgs)) {
+        std::string want = f->minArgs == f->maxArgs
+            ? std::to_string(f->minArgs)
+            : strprintf("%d to %d", f->minArgs, f->maxArgs);
+        fatal("'%s' takes %s positional argument(s), got %zu",
+              form.c_str(), want.c_str(), count);
+    }
+}
+
 void
 validateJobSpec(const JobSpec &spec)
 {
-    // A suite writes no run document: these would be silently ignored.
-    if (spec.command == "suite" && !spec.jsonPath.empty())
-        fatal("--json (json_path) applies to 'run' only; a suite "
-              "writes no run document (use --archive)");
-    if (spec.command == "suite" && !spec.csvPath.empty())
-        fatal("--csv (csv_path) applies to 'run' only; a suite "
-              "writes no series CSV (use --archive)");
-    // A resume path is not required here: a submitted suite arrives
-    // without one and the daemon assigns a durable path at admission.
-    if (spec.checkpointEvery > 0 && spec.command != "suite")
-        fatal("--checkpoint-every (checkpoint_every) requires a "
-              "suite job");
+    const Form *form = findForm(spec.command);
+    if (!form || !form->job)
+        fatal("job spec: unknown command '%s' (expected run, suite, "
+              "sequential, profile or compare)",
+              spec.command.c_str());
+    if (form->minArgs > 0 && spec.workload.empty())
+        fatal("job spec: '%s' needs a workload", spec.command.c_str());
+    const struct
+    {
+        const char *flag;
+        const char *field;
+        bool set;
+    } fields[] = {
+        {"--json", "json_path", !spec.jsonPath.empty()},
+        {"--csv", "csv_path", !spec.csvPath.empty()},
+        {"--metrics", "metrics_path", !spec.metricsPath.empty()},
+        {"--trace", "trace_path", !spec.tracePath.empty()},
+        {"--archive", "archive_dir", !spec.archiveDir.empty()},
+        {"--label", "label", !spec.label.empty()},
+        {"--resume", "resume_path", !spec.resumePath.empty()},
+        {"--inject", "inject", !spec.injectSpecs.empty()},
+        {"--checkpoint-every", "checkpoint_every",
+         spec.checkpointEvery > 0},
+    };
+    for (const auto &f : fields)
+        if (f.set && !flagApplies(f.flag, spec.command))
+            fatal("%s (%s) does not apply to '%s'", f.flag, f.field,
+                  spec.command.c_str());
     // A resumed suite only re-measures what the interrupted process
     // left unfinished, so archiving it would record a partial picture
-    // of the suite as if it were complete.
-    if (!spec.archiveDir.empty() && !spec.resumePath.empty())
+    // of the suite as if it were complete. Checkpoints go to the
+    // resume state file, so an archived suite has nowhere to put them
+    // (the daemon assigns a state file only to suites that do not
+    // archive).
+    if (!spec.archiveDir.empty() &&
+        (!spec.resumePath.empty() || spec.checkpointEvery > 0))
         fatal("--archive (archive_dir) cannot be combined with "
-              "--resume (resume_path); archive the suite in a single "
-              "uninterrupted run");
+              "--resume (resume_path) or --checkpoint-every; archive "
+              "the suite in a single uninterrupted run");
 }
 
 Json
@@ -92,6 +293,7 @@ jobSpecToJson(const JobSpec &spec)
     j.set("quiet", spec.quiet);
     j.set("max_retries", spec.maxRetries);
     j.set("deadline_ms", spec.deadlineMs);
+    j.set("target_pct", spec.targetPct);
     Json inj = Json::array();
     for (const auto &s : spec.injectSpecs)
         inj.push(s);
@@ -110,16 +312,15 @@ jobSpecToJson(const JobSpec &spec)
 JobSpec
 jobSpecFromJson(const Json &j)
 {
-    checkHeader(j, "job spec");
+    int64_t version = checkHeader(j, "job spec");
     JobSpec spec;
     spec.command = j.at("command").asString();
-    if (spec.command != "run" && spec.command != "suite")
-        fatal("job spec: unknown command '%s' (expected run or "
-              "suite)",
+    // v1 predates the other job commands and target_pct; a queue
+    // persisted by such a build still resumes.
+    if (version == 1 && spec.command != "run" && spec.command != "suite")
+        fatal("job spec: v1 carries only run and suite jobs, got '%s'",
               spec.command.c_str());
     spec.workload = j.at("workload").asString();
-    if (spec.command == "run" && spec.workload.empty())
-        fatal("job spec: 'run' needs a workload");
     // tierFromName is loud on unknown names, as at every other
     // deserialization site.
     spec.tier = vm::tierFromName(j.at("tier").asString());
@@ -146,6 +347,11 @@ jobSpecFromJson(const Json &j)
     spec.deadlineMs = j.at("deadline_ms").asDouble();
     if (spec.deadlineMs < 0)
         fatal("job spec: deadline_ms must be >= 0");
+    if (version >= 2) {
+        spec.targetPct = j.at("target_pct").asDouble();
+        if (!(spec.targetPct > 0))
+            fatal("job spec: target_pct must be > 0");
+    }
     const Json &inj = j.at("inject");
     for (size_t i = 0; i < inj.size(); ++i)
         spec.injectSpecs.push_back(inj.at(i).asString());
@@ -159,6 +365,18 @@ jobSpecFromJson(const Json &j)
     spec.checkpointEvery = intField(j, "checkpoint_every", 0);
     validateJobSpec(spec);
     return spec;
+}
+
+void
+validateQuerySpec(const QuerySpec &q)
+{
+    if (q.baseTier.empty() != q.candTier.empty())
+        fatal("cross-tier comparison needs both --base-tier and "
+              "--cand-tier (base_tier '%s', cand_tier '%s')",
+              q.baseTier.c_str(), q.candTier.c_str());
+    if (!(q.confidence > 0.0 && q.confidence < 1.0))
+        fatal("--confidence (confidence) must be in (0, 1), got %g",
+              q.confidence);
 }
 
 Json
@@ -198,16 +416,11 @@ querySpecFromJson(const Json &j)
         fatal("query spec: archive_dir is required");
     q.resamples = intField(j, "resamples", 10);
     q.confidence = j.at("confidence").asDouble();
-    if (q.confidence <= 0.0 || q.confidence >= 1.0)
-        fatal("query spec: confidence must be in (0, 1)");
     q.gateThresholdPct = j.at("gate_threshold_pct").asDouble();
     if (q.gateThresholdPct < 0)
         fatal("query spec: gate_threshold_pct must be >= 0");
     q.baseTier = j.at("base_tier").asString();
     q.candTier = j.at("cand_tier").asString();
-    if (q.baseTier.empty() != q.candTier.empty())
-        fatal("query spec: base_tier and cand_tier must be given "
-              "together");
     q.explainGate = j.at("explain_gate").asBool();
     {
         const std::string &s = j.at("seed").asString();
@@ -218,6 +431,7 @@ querySpecFromJson(const Json &j)
             fatal("query spec: bad seed '%s'", s.c_str());
         q.seed = v;
     }
+    validateQuerySpec(q);
     return q;
 }
 

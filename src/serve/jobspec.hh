@@ -1,9 +1,12 @@
 /**
  * @file
  * Serializable specifications of the work the framework can execute
- * on behalf of a caller: a measurement *job* (`run` or `suite`, the
- * things the daemon queues) and an archive *query* (`compare`, `gate`
- * or `explain`, which read concurrently with appenders).
+ * on behalf of a caller: a measurement *job* (`run`, `suite`,
+ * `sequential`, `profile` or the one-workload `compare`, the things
+ * the daemon queues) and an archive *query* (`compare`, `gate` or
+ * `explain` over two entries, which read concurrently with
+ * appenders), plus the flag x command table that says which CLI flag
+ * applies to which command.
  *
  * A JobSpec is the single configuration carrier shared by the
  * one-shot CLI and the serve daemon: both paths build one and hand it
@@ -28,14 +31,18 @@
 namespace rigor {
 namespace serve {
 
-/** One queueable measurement job ("run" or "suite"). */
+/** One queueable measurement job. */
 struct JobSpec
 {
-    /** "run" (one workload, one tier) or "suite" (all x all). */
+    /**
+     * "run" (one workload, one tier), "suite" (all x all),
+     * "sequential" (run until the CI is tight), "profile" (per-opcode
+     * profile) or "compare" (interp vs adaptive on one workload).
+     */
     std::string command = "run";
-    /** Workload name ("run" only; ignored for "suite"). */
+    /** Workload name (every command but "suite"). */
     std::string workload;
-    /** Tier to measure ("run" only). */
+    /** Tier to measure (run, sequential and profile). */
     vm::Tier tier = vm::Tier::Interp;
 
     int invocations = 8;
@@ -48,6 +55,8 @@ struct JobSpec
     bool quiet = false;
     int maxRetries = 2;
     double deadlineMs = 0.0;
+    /** "sequential": target CI half-width, in percent of the mean. */
+    double targetPct = 2.0;
     /** Raw --inject specs (measurement and io:* families). */
     std::vector<std::string> injectSpecs;
 
@@ -65,14 +74,43 @@ struct JobSpec
 };
 
 /**
- * The cross-field rules every job must meet, wherever it comes from:
- * the CLI checks its flags with this before running or submitting,
+ * The rules every job must meet, wherever it comes from: the CLI
+ * checks its spec with this before running or submitting,
  * jobSpecFromJson checks every spec the daemon receives or restores,
- * and executeJob checks again before running. Messages name the CLI
- * flag and the spec field.
+ * and executeJob checks again before running. A known command, a
+ * workload where the command takes one, every field whose "set" state
+ * is visible (a non-empty path or label, an --inject spec,
+ * checkpoint_every) checked against the flag table, and --archive
+ * excluding --resume. Messages name the CLI flag and the spec field.
  * @throws FatalError naming the offending flag.
  */
 void validateJobSpec(const JobSpec &spec);
+
+/**
+ * The flag x command table. A command *form* is what the CLI runs:
+ * a job command ("run", "suite", "sequential", "profile", "compare"
+ * with one workload), "compare <base> <cand>", "gate", "explain",
+ * "archive list", "archive prune", "fsck", "serve", "submit",
+ * "status", "cancel", "shutdown", "list", "env", "version" or
+ * "disasm". A flag applies to "submit" when the daemon can carry it;
+ * a submitted job's flags must apply to its job command as well.
+ *
+ * isJobCommand: true for the forms a JobSpec carries
+ * (JobSpec::command).
+ */
+bool isJobCommand(const std::string &form);
+
+/** True when `flag` applies to some job command. */
+bool isJobFlag(const std::string &flag);
+
+/** True when `flag` applies to `form` (an unknown one never does). */
+bool flagApplies(const std::string &flag, const std::string &form);
+
+/**
+ * @throws FatalError for an unknown form, or unless `form` takes
+ * `count` positional arguments (submit counts its job command).
+ */
+void checkArity(const std::string &form, size_t count);
 
 /**
  * Serialize a spec as a versioned document (kJobSpecSchema). The
@@ -105,6 +143,14 @@ struct QuerySpec
     bool explainGate = false;
     uint64_t seed = 0xc0ffee;
 };
+
+/**
+ * The cross-field rules of a query, wherever it comes from (the CLI
+ * and querySpecFromJson): --base-tier and --cand-tier together or
+ * not at all, and a confidence in (0, 1).
+ * @throws FatalError naming the offending flag.
+ */
+void validateQuerySpec(const QuerySpec &q);
 
 /** Serialize / parse a query (same validation discipline as jobs). */
 Json querySpecToJson(const QuerySpec &q);

@@ -71,9 +71,14 @@ inline constexpr const char *kArchiveListSchema =
     "rigorbench-archive-list";
 inline constexpr int kArchiveListVersion = 1;
 
-/** A serialized run/suite job specification (serve::JobSpec). */
+/**
+ * A serialized job specification (serve::JobSpec). v2 added the
+ * sequential, profile and compare commands and target_pct; v1 (run
+ * and suite only) still parses.
+ */
 inline constexpr const char *kJobSpecSchema = "rigorbench-job";
-inline constexpr int kJobSpecVersion = 1;
+inline constexpr int kJobSpecVersion = 2;
+inline constexpr int kJobSpecMinVersion = 1;
 
 /** The `rigorbench serve` NDJSON request/response protocol. */
 inline constexpr const char *kServeProtocolSchema =

@@ -4,8 +4,10 @@
 # Drives the real binary end to end in daemon mode: a job submitted
 # over the socket must produce report text and artifacts (json, csv,
 # metrics, trace, archive entry) byte-identical to the same
-# configuration run at a shell; two clients submit overlapping suites
-# that both come back byte-identical to the one-shot reference; an
+# configuration run at a shell, and so do the stdout and metrics of a
+# submitted sequential, compare and profile job; two clients submit
+# overlapping suites that both come back byte-identical to the
+# one-shot reference; an
 # archive query (compare) is answered over the socket while jobs are
 # in flight; admission control rejects io:* fault injection with the
 # documented exit code; and a SIGTERM drain (exit 3) followed by
@@ -117,6 +119,31 @@ diff <(scrub_paths "$WORK/one/report.txt") \
     <(scrub_paths "$WORK/dmn/report.txt") >/dev/null ||
     fail "daemon report text differs from the one-shot CLI's"
 echo "ok: daemon artifacts byte-identical to one-shot CLI"
+
+# --- sequential, compare and profile: same bytes through the daemon --
+# Both sides write --metrics (where the command takes it) to the same
+# path in turn, so their stdout must match byte for byte.
+JOBS=("sequential nbody --iterations 3 --metrics $WORK/sequential.json"
+      "compare nbody --invocations 2 --iterations 3
+       --metrics $WORK/compare.json"
+      "profile nbody --iterations 3")
+for job in "${JOBS[@]}"; do
+    name=${job%% *}
+    # shellcheck disable=SC2086 # split the job's words
+    "$BIN" $job --size 4 --quiet >"$WORK/one/$name.txt" ||
+        fail "one-shot $name failed (rc=$?)"
+    [ -e "$WORK/$name.json" ] && mv "$WORK/$name.json" "$WORK/one/"
+    # shellcheck disable=SC2086
+    "$BIN" submit $job --size 4 --quiet --socket "$SOCK" \
+        >"$WORK/dmn/$name.txt" || fail "submitted $name failed (rc=$?)"
+    cmp -s "$WORK/one/$name.txt" "$WORK/dmn/$name.txt" ||
+        fail "daemon stdout of $name differs from the one-shot CLI's"
+    if [ -e "$WORK/one/$name.json" ]; then
+        cmp -s "$WORK/one/$name.json" "$WORK/$name.json" ||
+            fail "daemon metrics of $name differ from the one-shot's"
+    fi
+done
+echo "ok: submitted sequential, compare and profile match one-shot"
 
 # A second archived run so the archive has two entries to compare.
 "$BIN" submit run queens "${RUN_FLAGS[@]}" --socket "$SOCK" \

@@ -129,6 +129,106 @@ TEST(JobSpec, RoundTripIsExact)
     EXPECT_EQ(back.seed, spec.seed);
     EXPECT_EQ(back.tier, vm::Tier::Threaded);
     EXPECT_EQ(back.injectSpecs, spec.injectSpecs);
+
+    // Every other job command, with each field it takes set.
+    JobSpec seq = spec;
+    seq.command = "sequential";
+    seq.targetPct = 0.375;
+    seq.archiveDir.clear();
+    seq.label.clear();
+    JobSpec cmp = seq;
+    cmp.command = "compare";
+    cmp.targetPct = 2.0;
+    cmp.jsonPath.clear();
+    cmp.csvPath.clear();
+    JobSpec prof;
+    prof.command = "profile";
+    prof.workload = "queens";
+    prof.tier = vm::Tier::Adaptive;
+    prof.iterations = 7;
+    prof.size = 42;
+    prof.seed = spec.seed;
+    prof.jitThreshold = 11;
+    prof.quiet = true;
+    JobSpec suite = cmp;
+    suite.command = "suite";
+    suite.workload.clear();
+    suite.resumePath = "/tmp/x.state";
+    suite.checkpointEvery = 3;
+    suite.label = "lbl";
+    for (const JobSpec &s : {seq, cmp, prof, suite}) {
+        JobSpec b = jobSpecFromJson(jobSpecToJson(s));
+        EXPECT_EQ(jobSpecToJson(b).dump(), jobSpecToJson(s).dump())
+            << s.command;
+    }
+    EXPECT_EQ(jobSpecFromJson(jobSpecToJson(seq)).targetPct, 0.375);
+}
+
+TEST(JobSpec, VersionOneDocumentsStillParse)
+{
+    // A queue persisted by a v1 build holds run and suite specs
+    // without target_pct; they resume under this one.
+    JobSpec suite = tinySuiteSpec();
+    suite.resumePath = "/tmp/x.state";
+    Json v1 = jobSpecToJson(suite);
+    v1.set("version", 1);
+    v1.erase("target_pct");
+    EXPECT_EQ(jobSpecToJson(jobSpecFromJson(v1)).dump(),
+              jobSpecToJson(suite).dump());
+
+    // v1 carried no other command, and v2 requires target_pct.
+    JobSpec seq;
+    seq.command = "sequential";
+    seq.workload = "queens";
+    Json seqV1 = jobSpecToJson(seq);
+    seqV1.set("version", 1);
+    EXPECT_THROW(jobSpecFromJson(seqV1), FatalError);
+    Json noTarget = jobSpecToJson(seq);
+    noTarget.erase("target_pct");
+    EXPECT_ANY_THROW(jobSpecFromJson(noTarget));
+    Json future = jobSpecToJson(seq);
+    future.set("version", kJobSpecVersion + 1);
+    EXPECT_THROW(jobSpecFromJson(future), FatalError);
+}
+
+TEST(JobSpec, FieldsRejectedByTheFlagTableNameTheFlag)
+{
+    // Each spec field whose "set" state the check can see, on a job
+    // command the flag table says it does not apply to.
+    struct Case
+    {
+        const char *command;
+        const char *flag;
+        void (*set)(JobSpec &);
+    };
+    const Case cases[] = {
+        {"profile", "--json", [](JobSpec &s) { s.jsonPath = "x"; }},
+        {"compare", "--csv", [](JobSpec &s) { s.csvPath = "x"; }},
+        {"profile", "--metrics", [](JobSpec &s) { s.metricsPath = "x"; }},
+        {"profile", "--trace", [](JobSpec &s) { s.tracePath = "x"; }},
+        {"sequential", "--archive",
+         [](JobSpec &s) { s.archiveDir = "x"; }},
+        {"compare", "--label", [](JobSpec &s) { s.label = "x"; }},
+        {"run", "--resume", [](JobSpec &s) { s.resumePath = "x"; }},
+        {"profile", "--inject",
+         [](JobSpec &s) { s.injectSpecs = {"throw"}; }},
+        {"sequential", "--checkpoint-every",
+         [](JobSpec &s) { s.checkpointEvery = 2; }},
+    };
+    for (const auto &c : cases) {
+        JobSpec spec;
+        spec.command = c.command;
+        spec.workload = "queens";
+        c.set(spec);
+        try {
+            validateJobSpec(spec);
+            ADD_FAILURE() << c.command << " accepted " << c.flag;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.flag),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(JobSpec, RejectsUnknownCommandAndBadCheckpoint)
@@ -309,8 +409,15 @@ TEST(JobQueue, RestoreRequeuesInFlightJobsBitExactly)
     spec.command = "run";
     spec.workload = "queens";
     spec.seed = 0x1234abcdULL;
-    std::string specDump;
-    int runningId, doneId;
+    // A queued job of another command, with its own fields set.
+    JobSpec seq;
+    seq.command = "sequential";
+    seq.workload = "nbody";
+    seq.tier = vm::Tier::Threaded;
+    seq.targetPct = 0.625;
+    seq.jsonPath = scratch.dir() + "/seq.json";
+    std::string specDump, seqDump;
+    int runningId, doneId, queuedId;
     {
         JobQueue q(scratch.dir());
         JobRecord &running = q.submit(spec, 3, "tenant-a");
@@ -321,6 +428,9 @@ TEST(JobQueue, RestoreRequeuesInFlightJobsBitExactly)
         doneId = done.id;
         done.state = JobState::Done;
         done.exitCode = 0;
+        JobRecord &queued = q.submit(seq, 10, "tenant-c");
+        queuedId = queued.id;
+        seqDump = jobSpecToJson(queued.spec).dump();
         q.persist();
     }
     JobQueue q2(scratch.dir());
@@ -340,6 +450,11 @@ TEST(JobQueue, RestoreRequeuesInFlightJobsBitExactly)
     ASSERT_NE(done, nullptr);
     EXPECT_EQ(done->state, JobState::Done);
     EXPECT_EQ(done->exitCode, 0);
+    JobRecord *queued = q2.find(queuedId);
+    ASSERT_NE(queued, nullptr);
+    EXPECT_EQ(queued->state, JobState::Queued);
+    EXPECT_EQ(jobSpecToJson(queued->spec).dump(), seqDump);
+    EXPECT_EQ(queued->spec.targetPct, 0.625);
 
     // Ids keep advancing: never reused across a restart.
     EXPECT_GT(q2.submit(spec, 10, "").id, doneId);

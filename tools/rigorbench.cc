@@ -159,18 +159,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "archive/archive.hh"
 #include "archive/fsck.hh"
-#include "harness/analysis.hh"
 #include "harness/envcheck.hh"
 #include "harness/fault.hh"
-#include "harness/profile.hh"
-#include "harness/report.hh"
-#include "harness/runner.hh"
-#include "harness/sequential.hh"
 #include "serve/client.hh"
 #include "serve/jobrun.hh"
 #include "serve/jobspec.hh"
@@ -182,8 +178,8 @@
 #include "support/schema.hh"
 #include "support/str.hh"
 #include "support/table.hh"
-#include "support/trace.hh"
 #include "vm/compiler.hh"
+#include "workloads/workloads.hh"
 
 using namespace rigor;
 
@@ -196,71 +192,33 @@ namespace {
 // io:crash-at machinery.
 using serve::kExitCorruption;
 using serve::kExitFailure;
-using serve::kExitRegression;
 using serve::kExitSuccess;
 using serve::kExitUsage;
 
+/**
+ * A parsed command line: the flags land straight in the spec of the
+ * engine that acts on them, so each default is defined once there.
+ */
 struct Options
 {
     std::string command;
-    std::string workload;
-    /** Second positional (compare/gate candidate ref, submit's
-     * workload name, ...). */
-    std::string workload2;
-    vm::Tier tier = vm::Tier::Interp;
-    /** True once --tier was given (profile defaults differently). */
-    bool tierSet = false;
-    /** Cross-tier pairing for compare/gate/explain (both or none). */
-    std::string baseTier, candTier;
-    int invocations = 8;
-    int iterations = 20;
-    int jobs = 1;
-    int64_t size = 0;
-    uint64_t seed = 0xc0ffee;
-    int jitThreshold = harness::kDefaultJitThreshold;
-    double targetPct = 2.0;
-    std::string jsonPath;
-    std::string csvPath;
-    bool noNoise = false;
-    bool quiet = false;
-    harness::FaultPlan faultPlan;
-    /** Raw --inject specs, kept for the resume-config fingerprint. */
-    std::vector<std::string> injectSpecs;
-    int maxRetries = 2;
-    double deadlineMs = 0.0;
-    std::string resumePath;
-    int checkpointEvery = 0;
-    std::string metricsPath;
-    std::string tracePath;
-    std::string archiveDir;
-    std::string label;
-    int resamples = 2000;
-    double confidence = 0.95;
-    double gateThresholdPct = 5.0;
+    /** The flag table's name for what runs (see serve/jobspec.hh). */
+    std::string form;
+    std::vector<std::string> args;
+    /** Every flag given, in order, for the flag-table check. */
+    std::vector<std::string> flags;
+    serve::JobSpec job;
+    serve::QuerySpec query;
+    serve::ServerConfig server;
+    serve::SubmitOptions submit;
+    /** `status <job-id>` / `cancel <job-id>`. */
+    int jobId = -1;
+    /** `archive prune --keep N`. */
     int keep = 0;
-    /** `gate --explain`: attribute every failing pair. */
-    bool explainGate = false;
     /** `fsck --repair`: fix what is mechanically fixable. */
     bool repair = false;
-
-    // Daemon mode (serve and its client commands).
-    std::string socketPath;
-    std::string stateDir;
-    int maxQueue = 16;
-    int maxActive = 1;
-    /** `serve --resume`: restore the persisted queue. */
-    bool serveResume = false;
-    int priority = 10;
-    std::string clientName;
-    /** `submit --no-wait`: detach instead of streaming the report. */
-    bool noWait = false;
     /** `shutdown --now`: interrupt instead of draining. */
     bool shutdownNow = false;
-
-    // Observability sinks, shared by every run of the command
-    // (not owned; set up in main when requested).
-    MetricsRegistry *metrics = nullptr;
-    TraceEmitter *trace = nullptr;
 };
 
 void
@@ -296,7 +254,9 @@ printUsage(std::FILE *out)
         "  serve                     run the benchmarking daemon on\n"
         "                            --socket PATH (--resume after a\n"
         "                            drain)\n"
-        "  submit run <wl>|suite     queue a job on the daemon\n"
+        "  submit <job>              queue a job on the daemon: run,\n"
+        "                            sequential, profile or compare\n"
+        "                            <workload>, or suite\n"
         "  status [<job-id>]         list the daemon's jobs (or one)\n"
         "  cancel <job-id>           cancel a queued job\n"
         "  shutdown                  drain the daemon (--now to\n"
@@ -321,6 +281,8 @@ printUsage(std::FILE *out)
         "         --socket PATH --state-dir DIR --max-queue N "
         "--max-active N\n"
         "         --priority N --client NAME --no-wait --now\n"
+        "a flag that does not apply to the command exits 1 naming "
+        "both\n"
         "\n"
         "exit codes: 0 success, 1 usage error, 2 runtime failure,\n"
         "            3 interrupted (resumable with --resume),\n"
@@ -358,6 +320,16 @@ parseInt(const char *flag, const char *text, int64_t min_value)
         fatal("%s must be >= %lld, got %lld", flag,
               static_cast<long long>(min_value), v);
     return v;
+}
+
+/** parseInt for an int-typed setting (rejects values past INT_MAX). */
+int
+parseCount(const char *flag, const char *text, int min_value)
+{
+    int64_t v = parseInt(flag, text, min_value);
+    if (v > std::numeric_limits<int>::max())
+        fatal("%s out of range: '%s'", flag, text);
+    return static_cast<int>(v);
 }
 
 double
@@ -411,6 +383,64 @@ parseTier(const char *text)
     std::exit(kExitFailure);
 }
 
+/** The archive queries, answered by serve::runQuery. */
+bool
+isQuery(const std::string &form)
+{
+    return form == "compare <base> <cand>" || form == "gate" ||
+        form == "explain";
+}
+
+/**
+ * Name what runs, and give its spec the positionals: the flag table's
+ * form (`compare` with two refs, `archive list|prune`), the job's
+ * command and workload, the query's kind and refs, or the job id.
+ */
+void
+assignPositionals(Options &opt)
+{
+    const auto &args = opt.args;
+    opt.form = opt.command;
+    if (opt.command == "compare" && args.size() >= 2)
+        opt.form = "compare <base> <cand>";
+    else if (opt.command == "archive") {
+        if (args.empty() || (args[0] != "list" && args[0] != "prune"))
+            fatal("'archive' expects list or prune");
+        opt.form = "archive " + args[0];
+    }
+    serve::checkArity(opt.form, args.size());
+
+    if (opt.form == "submit") {
+        // The job's own positionals follow its command.
+        opt.job.command = args[0];
+        if (!serve::isJobCommand(opt.job.command))
+            fatal("submit expects a job command (run, suite, "
+                  "sequential, profile or compare <workload>), got "
+                  "'%s'",
+                  opt.job.command.c_str());
+        serve::checkArity(opt.job.command, args.size() - 1);
+        if (args.size() > 1)
+            opt.job.workload = args[1];
+    } else if (serve::isJobCommand(opt.form)) {
+        opt.job.command = opt.form;
+        if (!args.empty())
+            opt.job.workload = args[0];
+    } else if (isQuery(opt.form)) {
+        opt.query.kind = opt.command;
+        opt.query.baseRef = args[0];
+        if (args.size() > 1)
+            opt.query.candRef = args[1];
+    } else if ((opt.form == "status" || opt.form == "cancel") &&
+               !args.empty()) {
+        opt.jobId = parseCount(opt.form.c_str(), args[0].c_str(), 0);
+    }
+    // Profiling is mostly about explaining warmup/JIT behaviour, so
+    // the adaptive tier is the default here (run's default stays
+    // interp); --tier still overrides.
+    if (opt.job.command == "profile")
+        opt.job.tier = vm::Tier::Adaptive;
+}
+
 Options
 parseArgs(int argc, char **argv)
 {
@@ -426,10 +456,12 @@ parseArgs(int argc, char **argv)
     if (opt.command == "--version")
         opt.command = "version";
     int i = 2;
-    if (i < argc && argv[i][0] != '-')
-        opt.workload = argv[i++];
-    if (i < argc && argv[i][0] != '-')
-        opt.workload2 = argv[i++];
+    while (i < argc && argv[i][0] != '-')
+        opt.args.push_back(argv[i++]);
+    assignPositionals(opt);
+
+    serve::JobSpec &job = opt.job;
+    serve::QuerySpec &query = opt.query;
     for (; i < argc; ++i) {
         std::string a = argv[i];
         auto next = [&]() -> const char * {
@@ -440,225 +472,118 @@ parseArgs(int argc, char **argv)
         if (a == "--help" || a == "-h") {
             printUsage(stdout);
             std::exit(0);
-        } else if (a == "--tier") {
-            opt.tier = parseTier(next());
-            opt.tierSet = true;
+        }
+        opt.flags.push_back(a);
+        if (a == "--tier") {
+            job.tier = parseTier(next());
         } else if (a == "--base-tier") {
-            opt.baseTier = vm::tierName(parseTier(next()));
+            query.baseTier = vm::tierName(parseTier(next()));
         } else if (a == "--cand-tier") {
-            opt.candTier = vm::tierName(parseTier(next()));
+            query.candTier = vm::tierName(parseTier(next()));
         } else if (a == "--invocations") {
-            opt.invocations = static_cast<int>(
-                parseInt("--invocations", next(), 1));
+            job.invocations = parseCount("--invocations", next(), 1);
         } else if (a == "--iterations") {
-            opt.iterations = static_cast<int>(
-                parseInt("--iterations", next(), 1));
+            job.iterations = parseCount("--iterations", next(), 1);
         } else if (a == "--size") {
-            opt.size = parseInt("--size", next(), 1);
+            job.size = parseInt("--size", next(), 1);
         } else if (a == "--seed") {
-            opt.seed = parseSeed("--seed", next());
+            // Jobs seed the measurement, queries the bootstrap.
+            job.seed = query.seed = parseSeed("--seed", next());
         } else if (a == "--jobs") {
-            opt.jobs =
-                static_cast<int>(parseInt("--jobs", next(), 1));
+            job.jobs = parseCount("--jobs", next(), 1);
         } else if (a == "--jit-threshold") {
-            opt.jitThreshold = static_cast<int>(
-                parseInt("--jit-threshold", next(), 1));
+            job.jitThreshold = parseCount("--jit-threshold", next(), 1);
         } else if (a == "--target") {
-            opt.targetPct = parseDouble("--target", next(), 1e-6);
+            job.targetPct = parseDouble("--target", next(), 1e-6);
         } else if (a == "--json") {
-            opt.jsonPath = next();
+            job.jsonPath = next();
         } else if (a == "--csv") {
-            opt.csvPath = next();
+            job.csvPath = next();
         } else if (a == "--no-noise") {
-            opt.noNoise = true;
+            job.noNoise = true;
         } else if (a == "--quiet") {
-            opt.quiet = true;
+            job.quiet = true;
         } else if (a == "--metrics") {
-            opt.metricsPath = next();
+            job.metricsPath = next();
         } else if (a == "--trace") {
-            opt.tracePath = next();
+            job.tracePath = next();
         } else if (a == "--inject") {
-            const char *spec = next();
-            opt.faultPlan.add(spec);
-            opt.injectSpecs.push_back(spec);
+            job.injectSpecs.push_back(next());
         } else if (a == "--max-retries") {
-            opt.maxRetries = static_cast<int>(
-                parseInt("--max-retries", next(), 0));
+            job.maxRetries = parseCount("--max-retries", next(), 0);
         } else if (a == "--deadline-ms") {
-            opt.deadlineMs = parseDouble("--deadline-ms", next(),
-                                         1e-9);
+            job.deadlineMs = parseDouble("--deadline-ms", next(), 1e-9);
         } else if (a == "--resume") {
             // For `serve`, --resume is a flag (restore the queue);
             // everywhere else it names the suite state file.
             if (opt.command == "serve")
-                opt.serveResume = true;
+                opt.server.resume = true;
             else
-                opt.resumePath = next();
+                job.resumePath = next();
         } else if (a == "--checkpoint-every") {
-            opt.checkpointEvery = static_cast<int>(
-                parseInt("--checkpoint-every", next(), 1));
+            job.checkpointEvery =
+                parseCount("--checkpoint-every", next(), 1);
         } else if (a == "--archive") {
-            opt.archiveDir = next();
+            job.archiveDir = query.archiveDir = next();
         } else if (a == "--label") {
-            opt.label = next();
+            job.label = next();
         } else if (a == "--resamples") {
-            opt.resamples = static_cast<int>(
-                parseInt("--resamples", next(), 10));
+            query.resamples = parseCount("--resamples", next(), 10);
         } else if (a == "--confidence") {
-            opt.confidence =
-                parseDouble("--confidence", next(), 1e-6);
-            if (opt.confidence >= 1.0)
-                fatal("--confidence must be < 1, got %g",
-                      opt.confidence);
+            query.confidence = parseDouble("--confidence", next(), 1e-6);
         } else if (a == "--gate-threshold") {
-            opt.gateThresholdPct =
+            query.gateThresholdPct =
                 parseDouble("--gate-threshold", next(), 0.0);
         } else if (a == "--keep") {
-            opt.keep =
-                static_cast<int>(parseInt("--keep", next(), 1));
+            opt.keep = parseCount("--keep", next(), 1);
         } else if (a == "--explain") {
-            opt.explainGate = true;
+            query.explainGate = true;
         } else if (a == "--repair") {
             opt.repair = true;
         } else if (a == "--socket") {
-            opt.socketPath = next();
+            opt.server.socketPath = next();
         } else if (a == "--state-dir") {
-            opt.stateDir = next();
+            opt.server.stateDir = next();
         } else if (a == "--max-queue") {
-            opt.maxQueue = static_cast<int>(
-                parseInt("--max-queue", next(), 1));
+            opt.server.maxQueue = parseCount("--max-queue", next(), 1);
         } else if (a == "--max-active") {
-            opt.maxActive = static_cast<int>(
-                parseInt("--max-active", next(), 1));
+            opt.server.maxActive = parseCount("--max-active", next(), 1);
         } else if (a == "--priority") {
-            opt.priority = static_cast<int>(
-                parseInt("--priority", next(), 0));
+            opt.submit.priority = parseCount("--priority", next(), 0);
         } else if (a == "--client") {
-            opt.clientName = next();
+            opt.submit.client = next();
         } else if (a == "--no-wait") {
-            opt.noWait = true;
+            opt.submit.wait = false;
         } else if (a == "--now") {
             opt.shutdownNow = true;
         } else {
             usage();
         }
     }
-    // --checkpoint-every needs a durable home for the checkpoints: a
-    // local suite's --resume file, or the daemon-assigned resume path
-    // a submitted suite gets at admission.
-    bool checkpointable =
-        (opt.command == "suite" && !opt.resumePath.empty()) ||
-        (opt.command == "submit" && opt.workload == "suite");
-    if (opt.checkpointEvery > 0 && !checkpointable)
+
+    // Every flag acts on the command or is rejected, before any work.
+    // A submitted job's flags must apply to its own command as well.
+    bool submit = opt.form == "submit";
+    for (const auto &flag : opt.flags)
+        if (!serve::flagApplies(flag, opt.form) ||
+            (submit && serve::isJobFlag(flag) &&
+             !serve::flagApplies(flag, job.command)))
+            fatal("%s does not apply to '%s'", flag.c_str(),
+                  submit ? ("submit " + job.command).c_str()
+                         : opt.form.c_str());
+    if (serve::isJobCommand(opt.form) || opt.form == "submit")
+        serve::validateJobSpec(job);
+    if (isQuery(opt.form))
+        serve::validateQuerySpec(query);
+    // Checkpoints are written to the resume state file; a submitted
+    // suite gets one from the daemon at admission.
+    if (job.checkpointEvery > 0 && job.resumePath.empty() &&
+        opt.form == "suite")
         fatal("--checkpoint-every requires 'suite' with --resume "
               "(checkpoints are written to the resume state file)");
-    // A resumed suite only re-measures what the interrupted process
-    // left unfinished; archiving it would record a partial picture of
-    // the suite as if it were complete.
-    if (!opt.archiveDir.empty() && !opt.resumePath.empty())
-        fatal("--archive cannot be combined with --resume; "
-              "archive the suite in a single uninterrupted run");
-    if (!opt.workload2.empty() && opt.command != "compare" &&
-        opt.command != "gate" && opt.command != "explain" &&
-        opt.command != "submit")
-        fatal("unexpected extra argument '%s'",
-              opt.workload2.c_str());
-    if (opt.explainGate && opt.command != "gate")
-        fatal("--explain only applies to 'gate' (use the 'explain' "
-              "command for a standalone report)");
-    if (opt.repair && opt.command != "fsck")
-        fatal("--repair only applies to 'fsck'");
-    if (opt.command == "fsck" && !opt.workload.empty())
-        fatal("fsck takes no positional argument (got '%s'); the "
-              "archive comes from --archive DIR",
-              opt.workload.c_str());
-    if (opt.command == "fsck" && opt.archiveDir.empty())
+    if (opt.form == "fsck" && query.archiveDir.empty())
         fatal("fsck requires --archive DIR");
-    if (opt.baseTier.empty() != opt.candTier.empty())
-        fatal("cross-tier comparison needs both --base-tier and "
-              "--cand-tier (got baseline '%s', candidate '%s')",
-              opt.baseTier.c_str(), opt.candTier.c_str());
-    if (!opt.baseTier.empty() && opt.command != "compare" &&
-        opt.command != "gate" && opt.command != "explain")
-        fatal("--base-tier/--cand-tier only apply to "
-              "'compare', 'gate' and 'explain'");
-    if (!opt.socketPath.empty() && opt.command != "serve" &&
-        opt.command != "submit" && opt.command != "status" &&
-        opt.command != "cancel" && opt.command != "shutdown" &&
-        opt.command != "compare" && opt.command != "gate" &&
-        opt.command != "explain")
-        fatal("--socket only applies to serve/submit/status/cancel/"
-              "shutdown and to archive queries (compare/gate/"
-              "explain)");
-    if (opt.command == "submit") {
-        if (opt.workload != "run" && opt.workload != "suite")
-            fatal("submit expects 'run <workload>' or 'suite', got "
-                  "'%s'",
-                  opt.workload.c_str());
-        if (opt.workload == "run" && opt.workload2.empty())
-            fatal("submit run requires a workload name");
-        if (opt.workload == "suite" && !opt.workload2.empty())
-            fatal("submit suite takes no workload argument (got "
-                  "'%s')",
-                  opt.workload2.c_str());
-        if (!opt.resumePath.empty())
-            fatal("submit does not take --resume; the daemon "
-                  "assigns queued suites a durable resume path "
-                  "itself");
-    }
-    if (opt.serveResume && opt.command != "serve")
-        panic("serveResume set outside 'serve'");
     return opt;
-}
-
-/**
- * The Options fields a JobSpec carries, with the caller naming the
- * command and workload (local `run`/`suite` use them verbatim;
- * `submit` maps its positionals).
- */
-serve::JobSpec
-specFromOptions(const Options &opt, const std::string &command,
-                const std::string &workload)
-{
-    serve::JobSpec s;
-    s.command = command;
-    s.workload = workload;
-    s.tier = opt.tier;
-    s.invocations = opt.invocations;
-    s.iterations = opt.iterations;
-    s.jobs = opt.jobs;
-    s.size = opt.size;
-    s.seed = opt.seed;
-    s.jitThreshold = opt.jitThreshold;
-    s.noNoise = opt.noNoise;
-    s.quiet = opt.quiet;
-    s.maxRetries = opt.maxRetries;
-    s.deadlineMs = opt.deadlineMs;
-    s.injectSpecs = opt.injectSpecs;
-    s.jsonPath = opt.jsonPath;
-    s.csvPath = opt.csvPath;
-    s.metricsPath = opt.metricsPath;
-    s.tracePath = opt.tracePath;
-    s.archiveDir = opt.archiveDir;
-    s.label = opt.label;
-    s.resumePath = opt.resumePath;
-    s.checkpointEvery = opt.checkpointEvery;
-    return s;
-}
-
-harness::RunnerConfig
-makeConfig(const Options &opt, vm::Tier tier,
-           const harness::FaultInjector *faults)
-{
-    return serve::makeRunnerConfig(
-        specFromOptions(opt, opt.command, opt.workload), tier, faults,
-        opt.metrics, opt.trace);
-}
-
-void
-printEstimate(const harness::RunResult &run)
-{
-    std::printf("%s", serve::renderEstimate(run).c_str());
 }
 
 int
@@ -739,7 +664,7 @@ cmdVersion()
 int
 cmdDisasm(const Options &opt)
 {
-    const auto &spec = workloads::findWorkload(opt.workload);
+    const auto &spec = workloads::findWorkload(opt.args[0]);
     vm::Program prog = vm::compileSource(spec.source, spec.name);
     std::printf("%s", prog.module->disassemble().c_str());
     return kExitSuccess;
@@ -753,121 +678,37 @@ writeStdout(const std::string &chunk)
 }
 
 /**
- * `run` and `suite`: hand the job to the shared execution engine with
- * an output hook that writes straight to stdout. The daemon runs the
- * same engine with a streaming hook — that shared path is what makes
- * daemon-submitted artifacts byte-identical to one-shot runs.
+ * Every measurement command: hand the job to the shared execution
+ * engine with an output hook that writes straight to stdout. The
+ * daemon runs the same engine with a streaming hook — that shared
+ * path is what makes daemon-submitted artifacts byte-identical to
+ * one-shot runs.
  */
 int
 runLocalJob(const Options &opt)
 {
-    serve::JobSpec spec =
-        specFromOptions(opt, opt.command, opt.workload);
     serve::JobHooks hooks;
     hooks.output = writeStdout;
-    return serve::executeJob(spec, hooks);
-}
-
-int
-cmdProfile(const Options &opt)
-{
-    harness::ProfileConfig pcfg;
-    // Profiling is mostly about explaining warmup/JIT behaviour, so
-    // the adaptive tier is the default here (run's default stays
-    // interp); --tier still overrides.
-    pcfg.tier = opt.tierSet ? opt.tier : vm::Tier::Adaptive;
-    pcfg.iterations = opt.iterations;
-    pcfg.size = opt.size;
-    pcfg.seed = opt.seed;
-    pcfg.jitThreshold = opt.jitThreshold;
-    auto prof = harness::profileWorkload(opt.workload, pcfg);
-    std::printf("%s", harness::renderProfile(prof).c_str());
-    return kExitSuccess;
-}
-
-int
-cmdCompare(const Options &opt, const harness::FaultInjector *faults)
-{
-    auto interp = harness::runExperiment(
-        opt.workload, makeConfig(opt, vm::Tier::Interp, faults));
-    if (interp.interrupted) {
-        printEstimate(interp);
-        return kExitInterrupted;
-    }
-    auto jit = harness::runExperiment(
-        opt.workload, makeConfig(opt, vm::Tier::Adaptive, faults));
-    printEstimate(interp);
-    printEstimate(jit);
-    if (jit.interrupted)
-        return kExitInterrupted;
-    if (interp.invocations.empty() || jit.invocations.empty())
-        return kExitFailure;
-    auto s = harness::rigorousSpeedup(interp, jit);
-    std::printf("speedup (adaptive over interp): %s %s\n",
-                harness::formatCi(s.ci, 3).c_str(),
-                s.significant ? "(significant)"
-                              : "(not significant)");
-    return kExitSuccess;
-}
-
-int
-cmdSequential(const Options &opt,
-              const harness::FaultInjector *faults)
-{
-    harness::SequentialConfig seq;
-    seq.targetRelativeHalfWidth = opt.targetPct / 100.0;
-    seq.maxInvocations = std::max(opt.invocations, 8);
-    auto res = harness::runSequential(
-        opt.workload, makeConfig(opt, opt.tier, faults), seq);
-    printEstimate(res.run);
-    if (!res.run.invocations.empty() && !res.run.interrupted) {
-        std::printf("  sequential: %s after %d invocations "
-                    "(target ±%.1f%%)\n",
-                    res.converged ? "converged" : "budget exhausted",
-                    res.invocationsUsed, opt.targetPct);
-        std::printf("  width trajectory:");
-        for (double w : res.widthTrajectory)
-            std::printf(" %.2f%%", 100.0 * w);
-        std::printf("\n");
-    }
-    serve::writeRunArtifacts(
-        specFromOptions(opt, opt.command, opt.workload), res.run,
-        [](const std::string &line) {
-            std::fputs(line.c_str(), stdout);
-        });
-    if (res.run.interrupted)
-        return kExitInterrupted;
-    return res.run.invocations.empty() ? kExitFailure
-                                       : kExitSuccess;
+    return serve::executeJob(opt.job, hooks);
 }
 
 /**
- * compare/gate/explain on archive entries: build the query, run it
- * locally — or, with --socket, on the daemon, whose answer renders
- * identically (it runs the same engine against the same archive).
+ * compare/gate/explain on archive entries: run the query locally —
+ * or, with --socket, on the daemon, whose answer renders identically
+ * (it runs the same engine against the same archive).
  */
 int
-runQueryCommand(const Options &opt, const std::string &kind)
+runQueryCommand(const Options &opt)
 {
-    serve::QuerySpec q;
-    q.kind = kind;
-    q.baseRef = opt.workload;
-    q.candRef = opt.workload2;
-    q.archiveDir = opt.archiveDir;
-    q.resamples = opt.resamples;
-    q.confidence = opt.confidence;
-    q.gateThresholdPct = opt.gateThresholdPct;
-    q.baseTier = opt.baseTier;
-    q.candTier = opt.candTier;
-    q.explainGate = opt.explainGate;
-    q.seed = opt.seed;
-    if (!opt.socketPath.empty())
-        return serve::remoteQuery(opt.socketPath, q, opt.jsonPath);
-    serve::QueryResult res = serve::runQuery(q);
+    const std::string &jsonPath = opt.job.jsonPath;
+    if (!opt.server.socketPath.empty())
+        return serve::remoteQuery(opt.server.socketPath, opt.query,
+                                  jsonPath);
+    serve::QueryResult res = serve::runQuery(opt.query);
     std::fputs(res.text.c_str(), stdout);
-    if (!opt.jsonPath.empty()) {
-        atomicWriteFile(opt.jsonPath, res.doc.dump(2) + "\n");
-        std::printf("wrote %s\n", opt.jsonPath.c_str());
+    if (!jsonPath.empty()) {
+        atomicWriteFile(jsonPath, res.doc.dump(2) + "\n");
+        std::printf("wrote %s\n", jsonPath.c_str());
     }
     return res.exitCode;
 }
@@ -906,18 +747,19 @@ archiveListJson(const std::string &dir,
 int
 cmdArchive(const Options &opt)
 {
-    if (opt.archiveDir.empty())
-        fatal("'archive %s' requires --archive DIR",
-              opt.workload.c_str());
-    archive::RunArchive ar(opt.archiveDir);
-    if (opt.workload == "list") {
+    const std::string &dir = opt.query.archiveDir;
+    const std::string &jsonPath = opt.job.jsonPath;
+    if (dir.empty())
+        fatal("'%s' requires --archive DIR", opt.form.c_str());
+    archive::RunArchive ar(dir);
+    if (opt.form == "archive list") {
         archive::ScanResult scan = ar.scan();
         // `--json -` replaces the table with the document on stdout
         // (for pipelines); `--json FILE` writes it alongside.
-        if (opt.jsonPath == "-") {
+        if (jsonPath == "-") {
             std::printf(
                 "%s\n",
-                archiveListJson(opt.archiveDir, scan).dump(2)
+                archiveListJson(dir, scan).dump(2)
                     .c_str());
             return kExitSuccess;
         }
@@ -938,7 +780,7 @@ cmdArchive(const Options &opt)
         std::printf("%s", t.render().c_str());
         std::printf("%zu entr%s in %s", scan.entries.size(),
                     scan.entries.size() == 1 ? "y" : "ies",
-                    opt.archiveDir.c_str());
+                    dir.c_str());
         if (!scan.quarantined.empty())
             std::printf(", %zu quarantined this scan",
                         scan.quarantined.size());
@@ -947,40 +789,41 @@ cmdArchive(const Options &opt)
                         "(see 'rigorbench fsck')",
                         scan.quarantinedPresent);
         std::printf("\n");
-        if (!opt.jsonPath.empty()) {
+        if (!jsonPath.empty()) {
             atomicWriteFile(
-                opt.jsonPath,
-                archiveListJson(opt.archiveDir, scan).dump(2) +
+                jsonPath,
+                archiveListJson(dir, scan).dump(2) +
                     "\n");
-            std::printf("wrote %s\n", opt.jsonPath.c_str());
+            std::printf("wrote %s\n", jsonPath.c_str());
         }
         return kExitSuccess;
     }
-    if (opt.workload == "prune") {
-        if (opt.keep < 1)
-            fatal("'archive prune' requires --keep N");
-        int removed = ar.prune(opt.keep);
-        std::printf("pruned %d entr%s from %s (kept newest %d)\n",
-                    removed, removed == 1 ? "y" : "ies",
-                    opt.archiveDir.c_str(), opt.keep);
-        return kExitSuccess;
-    }
-    fatal("unknown archive action '%s' (expected list or prune)",
-          opt.workload.c_str());
+    if (opt.keep < 1)
+        fatal("'archive prune' requires --keep N");
+    int removed = ar.prune(opt.keep);
+    std::printf("pruned %d entr%s from %s (kept newest %d)\n", removed,
+                removed == 1 ? "y" : "ies", dir.c_str(), opt.keep);
+    return kExitSuccess;
 }
 
 /** `fsck --archive DIR [--repair]`: verify / repair an archive. */
 int
 cmdFsck(const Options &opt)
 {
-    archive::FsckReport report =
-        archive::fsckArchive(opt.archiveDir, opt.repair, opt.metrics);
+    const std::string &jsonPath = opt.job.jsonPath;
+    const std::string &metricsPath = opt.job.metricsPath;
+    MetricsRegistry metrics;
+    archive::FsckReport report = archive::fsckArchive(
+        opt.query.archiveDir, opt.repair,
+        metricsPath.empty() ? nullptr : &metrics);
     std::printf("%s", archive::renderFsck(report).c_str());
-    if (!opt.jsonPath.empty()) {
-        atomicWriteFile(opt.jsonPath,
+    if (!jsonPath.empty()) {
+        atomicWriteFile(jsonPath,
                         archive::fsckToJson(report).dump(2) + "\n");
-        std::printf("wrote %s\n", opt.jsonPath.c_str());
+        std::printf("wrote %s\n", jsonPath.c_str());
     }
+    serve::writeObservability(&metrics, metricsPath, nullptr, "",
+                              writeStdout);
     // The verdict is about the archive's state *now*: a repaired
     // archive exits 0 even though defects were found, an unrepaired
     // (or unrepairable) one exits 5 so scripts can gate on it.
@@ -988,108 +831,46 @@ cmdFsck(const Options &opt)
 }
 
 int
-cmdServe(const Options &opt)
+cmdServe(Options opt)
 {
-    if (opt.socketPath.empty())
+    serve::ServerConfig &cfg = opt.server;
+    if (cfg.socketPath.empty())
         fatal("serve requires --socket PATH");
-    serve::ServerConfig cfg;
-    cfg.socketPath = opt.socketPath;
-    cfg.stateDir = opt.stateDir.empty() ? opt.socketPath + ".d"
-                                        : opt.stateDir;
-    cfg.maxQueue = opt.maxQueue;
-    cfg.maxActive = opt.maxActive;
-    cfg.resume = opt.serveResume;
+    if (cfg.stateDir.empty())
+        cfg.stateDir = cfg.socketPath + ".d";
     return serve::runServer(cfg);
 }
 
 int
-cmdSubmit(const Options &opt)
+dispatch(const Options &opt)
 {
-    serve::JobSpec spec =
-        specFromOptions(opt, opt.workload, opt.workload2);
-    serve::SubmitOptions so;
-    so.priority = opt.priority;
-    so.client = opt.clientName;
-    so.wait = !opt.noWait;
-    return serve::submitJob(opt.socketPath, spec, so);
-}
-
-int
-cmdStatus(const Options &opt)
-{
-    int jobId = -1;
-    if (!opt.workload.empty())
-        jobId = static_cast<int>(
-            parseInt("status", opt.workload.c_str(), 0));
-    return serve::requestStatus(opt.socketPath, jobId);
-}
-
-int
-cmdCancel(const Options &opt)
-{
-    if (opt.workload.empty())
-        fatal("cancel requires a job id");
-    return serve::cancelJob(
-        opt.socketPath,
-        static_cast<int>(
-            parseInt("cancel", opt.workload.c_str(), 0)));
-}
-
-/**
- * Commands whose measurement/observability sinks the shared execution
- * engine owns (serve::executeJob creates and flushes them itself, on
- * whichever process runs the job).
- */
-bool
-engineOwnsJob(const Options &opt)
-{
-    return opt.command == "run" || opt.command == "suite" ||
-        opt.command == "submit" || opt.command == "serve" ||
-        opt.command == "status" || opt.command == "cancel" ||
-        opt.command == "shutdown";
-}
-
-int
-dispatch(const Options &opt, const harness::FaultInjector *faults)
-{
-    if (opt.command == "disasm")
-        return cmdDisasm(opt);
-    if (opt.command == "run" || opt.command == "suite")
+    const std::string &form = opt.form;
+    const std::string &socket = opt.server.socketPath;
+    if (serve::isJobCommand(form))
         return runLocalJob(opt);
-    if (opt.command == "compare") {
-        // One positional: the legacy interp-vs-adaptive measurement.
-        // Two positionals: compare two archived entries.
-        if (!opt.workload2.empty())
-            return runQueryCommand(opt, "compare");
-        if (!opt.archiveDir.empty())
-            fatal("compare with --archive takes two entry refs, "
-                  "e.g. 'compare HEAD~1 HEAD --archive DIR'");
-        return cmdCompare(opt, faults);
-    }
-    if (opt.command == "gate")
-        return runQueryCommand(opt, "gate");
-    if (opt.command == "explain")
-        return runQueryCommand(opt, "explain");
-    if (opt.command == "archive")
-        return cmdArchive(opt);
-    if (opt.command == "fsck")
+    if (isQuery(form))
+        return runQueryCommand(opt);
+    if (form == "list")
+        return cmdList();
+    if (form == "env")
+        return cmdEnv();
+    if (form == "version")
+        return cmdVersion();
+    if (form == "disasm")
+        return cmdDisasm(opt);
+    if (form == "fsck")
         return cmdFsck(opt);
-    if (opt.command == "sequential")
-        return cmdSequential(opt, faults);
-    if (opt.command == "profile")
-        return cmdProfile(opt);
-    if (opt.command == "serve")
+    if (form == "serve")
         return cmdServe(opt);
-    if (opt.command == "submit")
-        return cmdSubmit(opt);
-    if (opt.command == "status")
-        return cmdStatus(opt);
-    if (opt.command == "cancel")
-        return cmdCancel(opt);
-    if (opt.command == "shutdown")
-        return serve::shutdownDaemon(opt.socketPath,
-                                     opt.shutdownNow);
-    usage();
+    if (form == "submit")
+        return serve::submitJob(socket, opt.job, opt.submit);
+    if (form == "status")
+        return serve::requestStatus(socket, opt.jobId);
+    if (form == "cancel")
+        return serve::cancelJob(socket, opt.jobId);
+    if (form == "shutdown")
+        return serve::shutdownDaemon(socket, opt.shutdownNow);
+    return cmdArchive(opt);
 }
 
 } // namespace
@@ -1099,63 +880,26 @@ main(int argc, char **argv)
 {
     installInterruptHandlers();
     Options opt;
+    harness::FaultPlan faults;
     try {
         opt = parseArgs(argc, argv);
-        // The rules the daemon applies to a submitted job, applied to
-        // the flags here so a misplaced one is a usage error.
-        if (opt.command == "run" || opt.command == "suite")
-            serve::validateJobSpec(
-                specFromOptions(opt, opt.command, opt.workload));
-        else if (opt.command == "submit")
-            serve::validateJobSpec(
-                specFromOptions(opt, opt.workload, opt.workload2));
+        for (const auto &spec : opt.job.injectSpecs)
+            faults.add(spec);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return kExitUsage;
     }
     try {
-        if (opt.quiet)
+        if (opt.job.quiet)
             setQuiet(true);
-        harness::FaultInjector injector(opt.faultPlan, opt.seed);
-        const harness::FaultInjector *faults =
-            opt.faultPlan.empty() ? nullptr : &injector;
         // io:* faults arm on durable-I/O calls, not invocations, so
         // they install into the process-wide FsOps seam before any
         // durable work starts. Never uninstalled: the injector must
         // outlive every write, including the observability flush.
-        harness::FaultyFsOps faultyFs(opt.faultPlan.ioFaults,
-                                      opt.seed);
-        if (!opt.faultPlan.ioFaults.empty())
+        harness::FaultyFsOps faultyFs(faults.ioFaults, opt.job.seed);
+        if (!faults.ioFaults.empty())
             setFsOps(&faultyFs);
-        if (opt.command == "list")
-            return cmdList();
-        if (opt.command == "env")
-            return cmdEnv();
-        if (opt.command == "version")
-            return cmdVersion();
-        if (opt.workload.empty() && opt.command != "suite" &&
-            opt.command != "fsck" && opt.command != "serve" &&
-            opt.command != "status" && opt.command != "shutdown")
-            usage();
-
-        // run/suite (local or daemon-side) create their own sinks
-        // inside serve::executeJob; wiring these too would write the
-        // files twice.
-        MetricsRegistry metrics;
-        TraceEmitter trace;
-        bool ownSinks = !engineOwnsJob(opt);
-        if (ownSinks && !opt.metricsPath.empty())
-            opt.metrics = &metrics;
-        if (ownSinks && !opt.tracePath.empty())
-            opt.trace = &trace;
-
-        int rc = dispatch(opt, faults);
-        // Partial artifacts are flushed even after an interrupt, so
-        // what was measured is never lost.
-        if (ownSinks)
-            serve::writeObservability(opt.metrics, opt.metricsPath,
-                                      opt.trace, opt.tracePath,
-                                      writeStdout);
+        int rc = dispatch(opt);
         // stdout itself is an artifact consumers parse; a full disk
         // or closed pipe must be a loud failure, not silence.
         if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
