@@ -299,18 +299,10 @@ FaultyFsOps::FaultyFsOps(std::vector<IoFaultSpec> faults,
       matched_(faults_.size(), 0), fired_(faults_.size(), 0)
 {}
 
-uint64_t
-FaultyFsOps::calls() const
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    return calls_;
-}
-
 const IoFaultSpec *
 FaultyFsOps::arm(const char *op, const std::string &path)
 {
     std::lock_guard<std::mutex> guard(mu_);
-    ++calls_;
     for (size_t i = 0; i < faults_.size(); ++i) {
         IoFaultSpec &spec = faults_[i];
         const std::string &want =

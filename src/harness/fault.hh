@@ -217,17 +217,13 @@ class FaultyFsOps : public FsOps
     int rename(const char *from, const char *to) override;
     int unlink(const char *path) override;
 
-    /** Total FsOps calls observed (crash-point enumeration bound). */
-    uint64_t calls() const;
-
   private:
     /** First spec armed for this call, after counting it. */
     const IoFaultSpec *arm(const char *op, const std::string &path);
 
     std::vector<IoFaultSpec> faults_;
     uint64_t seed_;
-    mutable std::mutex mu_;
-    uint64_t calls_ = 0;
+    std::mutex mu_;
     /** Per-spec count of matching calls seen / faults fired. */
     std::vector<int> matched_;
     std::vector<int> fired_;

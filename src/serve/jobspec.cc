@@ -21,33 +21,31 @@ struct Form
     const char *name;
     int minArgs;
     int maxArgs;
-    /** A JobSpec command, run by executeJob. */
-    bool job;
 };
 
 constexpr Form kForms[] = {
-    {"run", 1, 1, true},
-    {"suite", 0, 0, true},
-    {"sequential", 1, 1, true},
-    {"profile", 1, 1, true},
-    {"compare", 1, 1, true},
-    {"compare <base> <cand>", 2, 2, false},
-    {"gate", 1, 2, false},
-    {"explain", 2, 2, false},
+    {"run", 1, 1},
+    {"suite", 0, 0},
+    {"sequential", 1, 1},
+    {"profile", 1, 1},
+    {"compare", 1, 1},
+    {"compare <base> <cand>", 2, 2},
+    {"gate", 1, 2},
+    {"explain", 2, 2},
     // The action is the positional argument.
-    {"archive list", 1, 1, false},
-    {"archive prune", 1, 1, false},
-    {"fsck", 0, 0, false},
-    {"serve", 0, 0, false},
+    {"archive list", 1, 1},
+    {"archive prune", 1, 1},
+    {"fsck", 0, 0},
+    {"serve", 0, 0},
     // The job command and, for most jobs, its workload.
-    {"submit", 1, 2, false},
-    {"status", 0, 1, false},
-    {"cancel", 1, 1, false},
-    {"shutdown", 0, 0, false},
-    {"list", 0, 0, false},
-    {"env", 0, 0, false},
-    {"version", 0, 0, false},
-    {"disasm", 1, 1, false},
+    {"submit", 1, 2},
+    {"status", 0, 1},
+    {"cancel", 1, 1},
+    {"shutdown", 0, 0},
+    {"list", 0, 0},
+    {"env", 0, 0},
+    {"version", 0, 0},
+    {"disasm", 1, 1},
 };
 
 constexpr size_t
@@ -76,6 +74,8 @@ forms(std::string_view list)
 }
 
 constexpr uint32_t kEveryForm = (uint32_t{1} << std::size(kForms)) - 1;
+/** The JobSpec commands, run by executeJob. */
+constexpr uint32_t kJobs = forms("run,suite,sequential,profile,compare");
 /** Knobs of every command that measures runs with the runner. */
 constexpr uint32_t kRunner = forms("run,suite,sequential,compare,submit");
 constexpr uint32_t kQueries = forms("compare <base> <cand>,gate,explain");
@@ -141,6 +141,14 @@ findForm(const std::string &name)
     return nullptr;
 }
 
+/** The form's bit in a FlagRow mask; 0 for an unknown form. */
+uint32_t
+formBit(const std::string &name)
+{
+    const Form *f = findForm(name);
+    return f ? uint32_t{1} << (f - std::begin(kForms)) : 0;
+}
+
 bool
 flagApplies(const std::string &flag, uint32_t mask)
 {
@@ -181,32 +189,37 @@ intField(const Json &j, const char *key, int64_t min_value)
     return static_cast<int>(v);
 }
 
+/** The hex seed both spec kinds carry (full uint64 range). */
+uint64_t
+seedField(const Json &j, const char *what)
+{
+    const std::string &s = j.at("seed").asString();
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(s.c_str(), &end, 0);
+    if (end == s.c_str() || *end != '\0' || errno == ERANGE)
+        fatal("%s: bad seed '%s'", what, s.c_str());
+    return v;
+}
+
 } // namespace
 
 bool
 isJobCommand(const std::string &form)
 {
-    const Form *f = findForm(form);
-    return f && f->job;
+    return (formBit(form) & kJobs) != 0;
 }
 
 bool
 isJobFlag(const std::string &flag)
 {
-    uint32_t jobs = 0;
-    for (size_t i = 0; i < std::size(kForms); ++i)
-        if (kForms[i].job)
-            jobs |= uint32_t{1} << i;
-    return flagApplies(flag, jobs);
+    return flagApplies(flag, kJobs);
 }
 
 bool
 flagApplies(const std::string &flag, const std::string &form)
 {
-    const Form *f = findForm(form);
-    return f &&
-        flagApplies(flag, uint32_t{1} << static_cast<size_t>(
-                                            f - std::begin(kForms)));
+    return flagApplies(flag, formBit(form));
 }
 
 void
@@ -229,12 +242,11 @@ checkArity(const std::string &form, size_t count)
 void
 validateJobSpec(const JobSpec &spec)
 {
-    const Form *form = findForm(spec.command);
-    if (!form || !form->job)
+    if (!isJobCommand(spec.command))
         fatal("job spec: unknown command '%s' (expected run, suite, "
               "sequential, profile or compare)",
               spec.command.c_str());
-    if (form->minArgs > 0 && spec.workload.empty())
+    if (findForm(spec.command)->minArgs > 0 && spec.workload.empty())
         fatal("job spec: '%s' needs a workload", spec.command.c_str());
     const struct
     {
@@ -331,15 +343,7 @@ jobSpecFromJson(const Json &j)
     if (spec.size < 0)
         fatal("job spec: size must be >= 0, got %lld",
               static_cast<long long>(spec.size));
-    {
-        const std::string &s = j.at("seed").asString();
-        char *end = nullptr;
-        errno = 0;
-        unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-        if (end == s.c_str() || *end != '\0' || errno == ERANGE)
-            fatal("job spec: bad seed '%s'", s.c_str());
-        spec.seed = v;
-    }
+    spec.seed = seedField(j, "job spec");
     spec.jitThreshold = intField(j, "jit_threshold", 1);
     spec.noNoise = j.at("no_noise").asBool();
     spec.quiet = j.at("quiet").asBool();
@@ -422,15 +426,7 @@ querySpecFromJson(const Json &j)
     q.baseTier = j.at("base_tier").asString();
     q.candTier = j.at("cand_tier").asString();
     q.explainGate = j.at("explain_gate").asBool();
-    {
-        const std::string &s = j.at("seed").asString();
-        char *end = nullptr;
-        errno = 0;
-        unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-        if (end == s.c_str() || *end != '\0' || errno == ERANGE)
-            fatal("query spec: bad seed '%s'", s.c_str());
-        q.seed = v;
-    }
+    q.seed = seedField(j, "query spec");
     validateQuerySpec(q);
     return q;
 }

@@ -58,6 +58,9 @@ for tier in interp adaptive threaded; do
     cmp "$tmp/j1.json" "$tmp/jn.json"
 done
 
+echo "== flag table smoke (every flag acts or is rejected) =="
+bash tests/cli_flags_test.sh ./build/tools/rigorbench
+
 echo "== interrupt/resume smoke (SIGTERM mid-suite, byte-identity) =="
 bash tests/interrupt_resume_test.sh ./build/tools/rigorbench
 bash tests/interrupt_resume_test.sh ./build-asan/tools/rigorbench

@@ -1,6 +1,10 @@
 /**
  * @file
- * rigorbench — command-line front end to the framework.
+ * rigorbench — command-line front end to the framework. It only
+ * parses and dispatches: every measurement command runs through
+ * serve::executeJob (the daemon's engine), archive queries through
+ * serve::runQuery, and the daemon's client commands through
+ * serve/client.hh.
  *
  *   rigorbench list
  *   rigorbench env
@@ -17,124 +21,19 @@
  *   rigorbench archive list|prune --archive DIR
  *   rigorbench fsck --archive DIR [--repair]
  *   rigorbench serve --socket PATH [options]
- *   rigorbench submit run <workload>|suite --socket PATH [options]
+ *   rigorbench submit <job command> [<workload>] --socket PATH [options]
  *   rigorbench status [<job-id>] --socket PATH
  *   rigorbench cancel <job-id> --socket PATH
  *   rigorbench shutdown [--now] --socket PATH
  *   rigorbench help
  *
- * Common options:
- *   --tier interp|adaptive|threaded
- *                            (run only; default interp,
- *                            profile defaults to adaptive)
- *   --invocations N          (default 8)
- *   --iterations N           (default 20)
- *   --size N                 (default: workload's defaultSize)
- *   --seed S                 (default 0xc0ffee)
- *   --jobs N                 (default 1) worker threads; artifacts
- *                            are byte-identical for every N
- *   --jit-threshold N        (default kDefaultJitThreshold)
- *   --target PCT             (sequential only; default 2)
- *   --json FILE              dump the raw run as JSON
- *                            (archive list: the machine-readable
- *                            listing; '-' prints it to stdout;
- *                            suite rejects it, exit 1)
- *   --csv FILE               dump per-iteration samples as CSV
- *                            (suite rejects it, exit 1)
- *   --no-noise               disable the measurement-noise model
- *   --quiet                  silence warn()/inform() status output
- *
- * Observability (see docs/OBSERVABILITY.md):
- *   --metrics FILE           write a metrics-registry JSON snapshot
- *   --trace FILE             write a Chrome trace-event JSON
- *                            (Perfetto-loadable, modelled clock)
- *
- * Fault tolerance:
- *   --inject SPEC            inject a fault (repeatable); SPEC is
- *                            kind[:key=value]... with kind one of
- *                            throw|checksum|stall|ramp and keys
- *                            wl=NAME inv=N n=COUNT p=PROB mag=X;
- *                            or an I/O fault io:subkind[:key=value]...
- *                            with subkind one of short-write|enospc|
- *                            torn-rename|fsync-fail|crash-at=N and
- *                            keys at=N n=COUNT p=PROB op=NAME
- *                            path=SUBSTR mag=X (armed on the durable-
- *                            I/O operations; crash-at kills the
- *                            process with exit 6 at matching call N)
- *   --max-retries N          retries per invocation (default 2)
- *   --deadline-ms X          per-invocation modelled-time deadline
- *
- * Durability (see docs/METHODOLOGY.md §12):
- *   --resume FILE            (suite only) persist checksummed state
- *                            after every workload and skip completed
- *                            ones on restart; a checkpoint interrupted
- *                            mid-write falls back to FILE.bak
- *   --checkpoint-every N     (suite, needs --resume) additionally
- *                            checkpoint every N committed invocations,
- *                            so an interrupted *run* resumes mid-
- *                            workload; final artifacts are invariant
- *                            under the checkpoint cadence
- *
- * Archive & comparison (see docs/METHODOLOGY.md §13):
- *   --archive DIR            (run/suite) append the completed run(s)
- *                            to the archive at DIR; (compare/gate/
- *                            archive) the archive to operate on
- *   --label NAME             label the appended entry
- *   --resamples N            bootstrap resamples (default 2000)
- *   --confidence C           interval confidence (default 0.95)
- *   --gate-threshold PCT     gate regression threshold (default 5)
- *   --keep N                 (archive prune) entries to keep
- *   fsck --archive DIR       verify every file in the archive (CRC
- *                            envelopes, schema versions, naming,
- *                            orphaned temporaries/backups); exit 5
- *                            when corruption is found
- *   --repair                 (fsck) fix what is mechanically fixable:
- *                            restore from valid backups, sweep
- *                            orphaned temporaries, quarantine the
- *                            rest; exit 0 when the archive is clean
- *                            afterwards
- *   --base-tier T --cand-tier T
- *                            (compare/gate/explain on archives)
- *                            cross-tier pairing: baseline runs on
- *                            tier T1 vs candidate runs on tier T2,
- *                            paired by workload (both flags or
- *                            neither)
- *
- * Differential profiling (see docs/METHODOLOGY.md §14):
- *   explain A B              attribute the measured ratio of every
- *                            paired (workload, tier) to opcode-mix,
- *                            tier/deopt, branch and cache components
- *                            (plus an explicit unattributed
- *                            remainder), from the behavior profiles
- *                            archived with each entry
- *   --explain                (gate) append the per-pair attribution
- *                            for every failing pair
- *
- * Daemon mode (see docs/METHODOLOGY.md §17):
- *   serve                    run the multi-tenant benchmarking daemon
- *                            on a Unix-domain socket; submitted jobs
- *                            produce artifacts byte-identical to the
- *                            same flags run one-shot
- *   --socket PATH            the daemon's socket (serve and every
- *                            client command; compare/gate/explain
- *                            with --socket route through the daemon)
- *   --state-dir DIR          (serve) durable queue/checkpoint state
- *                            (default: SOCKET.d)
- *   --max-queue N            (serve) admission limit on waiting jobs
- *                            (default 16; excess submits exit 8)
- *   --max-active N           (serve) concurrent job executions
- *                            (default 1)
- *   serve --resume           restore the persisted queue after a
- *                            drain (SIGINT/SIGTERM exits 3 with the
- *                            queue durably checkpointed)
- *   --priority N             (submit) lower runs first (default 10)
- *   --client NAME            (submit) label shown in `status`
- *   --no-wait                (submit) print the job id and return
- *                            instead of streaming the report
- *   --now                    (shutdown) interrupt running jobs at the
- *                            next commit boundary instead of draining
- *
- * Entry refs: HEAD (newest), HEAD~N, a decimal id, or a label.
+ * Flags parse straight into the spec that acts on them
+ * (serve::JobSpec, serve::QuerySpec, serve::ServerConfig,
+ * serve::SubmitOptions), which defines each default once. Which
+ * command each flag applies to is the flag x command table in
+ * serve/jobspec.cc: a flag that does not apply exits 1 naming the
+ * flag and the command, before any work starts. `rigorbench help`
+ * lists the flags; README.md ("Commands", "Flags") describes each.
  *
  * Exit codes (stable; scripts may rely on them — the canonical table
  * lives in README.md "Exit codes"):
@@ -158,7 +57,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -414,10 +312,8 @@ assignPositionals(Options &opt)
         // The job's own positionals follow its command.
         opt.job.command = args[0];
         if (!serve::isJobCommand(opt.job.command))
-            fatal("submit expects a job command (run, suite, "
-                  "sequential, profile or compare <workload>), got "
-                  "'%s'",
-                  opt.job.command.c_str());
+            fatal("submit expects a job command, got '%s'",
+                  args[0].c_str());
         serve::checkArity(opt.job.command, args.size() - 1);
         if (args.size() > 1)
             opt.job.workload = args[1];
@@ -644,7 +540,7 @@ cmdVersion()
         {"fsck report", kFsckReportSchema, kFsckReportVersion,
          kFsckReportVersion},
         {"job spec (serve)", kJobSpecSchema, kJobSpecVersion,
-         kJobSpecVersion},
+         kJobSpecMinVersion},
         {"serve protocol", kServeProtocolSchema,
          kServeProtocolVersion, kServeProtocolVersion},
         {"serve queue state", kServeQueueSchema, kServeQueueVersion,
