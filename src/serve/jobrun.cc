@@ -917,8 +917,9 @@ runQuery(const QuerySpec &query)
     std::string candRef = query.candRef;
     if (candRef.empty() && query.kind == "gate")
         candRef = "HEAD";
-    // The same checks the CLI makes before dispatching here, repeated
-    // for specs that arrived over the socket.
+    // Checked here for every caller: the CLI leaves --archive to this
+    // check (a runtime failure), and a spec from the socket skipped
+    // the CLI's argument count.
     if (query.archiveDir.empty())
         fatal("comparing archive entries requires --archive DIR");
     if (query.baseRef.empty() || candRef.empty())

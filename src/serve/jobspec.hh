@@ -81,7 +81,8 @@ struct JobSpec
  * workload where the command takes one, every field whose "set" state
  * is visible (a non-empty path or label, an --inject spec,
  * checkpoint_every) checked against the flag table, and --archive
- * excluding --resume. Messages name the CLI flag and the spec field.
+ * excluding --resume and --checkpoint-every. Messages name the CLI
+ * flag and the spec field.
  * @throws FatalError naming the offending flag.
  */
 void validateJobSpec(const JobSpec &spec);

@@ -99,7 +99,6 @@ using serve::kExitUsage;
  */
 struct Options
 {
-    std::string command;
     /** The flag table's name for what runs (see serve/jobspec.hh). */
     std::string form;
     std::vector<std::string> args;
@@ -295,13 +294,13 @@ isQuery(const std::string &form)
  * command and workload, the query's kind and refs, or the job id.
  */
 void
-assignPositionals(Options &opt)
+assignPositionals(Options &opt, const std::string &command)
 {
     const auto &args = opt.args;
-    opt.form = opt.command;
-    if (opt.command == "compare" && args.size() >= 2)
+    opt.form = command;
+    if (command == "compare" && args.size() >= 2)
         opt.form = "compare <base> <cand>";
-    else if (opt.command == "archive") {
+    else if (command == "archive") {
         if (args.empty() || (args[0] != "list" && args[0] != "prune"))
             fatal("'archive' expects list or prune");
         opt.form = "archive " + args[0];
@@ -322,7 +321,7 @@ assignPositionals(Options &opt)
         if (!args.empty())
             opt.job.workload = args[0];
     } else if (isQuery(opt.form)) {
-        opt.query.kind = opt.command;
+        opt.query.kind = command;
         opt.query.baseRef = args[0];
         if (args.size() > 1)
             opt.query.candRef = args[1];
@@ -343,18 +342,17 @@ parseArgs(int argc, char **argv)
     Options opt;
     if (argc < 2)
         usage();
-    opt.command = argv[1];
-    if (opt.command == "help" || opt.command == "--help" ||
-        opt.command == "-h") {
+    std::string command = argv[1];
+    if (command == "help" || command == "--help" || command == "-h") {
         printUsage(stdout);
         std::exit(0);
     }
-    if (opt.command == "--version")
-        opt.command = "version";
+    if (command == "--version")
+        command = "version";
     int i = 2;
     while (i < argc && argv[i][0] != '-')
         opt.args.push_back(argv[i++]);
-    assignPositionals(opt);
+    assignPositionals(opt, command);
 
     serve::JobSpec &job = opt.job;
     serve::QuerySpec &query = opt.query;
@@ -412,7 +410,7 @@ parseArgs(int argc, char **argv)
         } else if (a == "--resume") {
             // For `serve`, --resume is a flag (restore the queue);
             // everywhere else it names the suite state file.
-            if (opt.command == "serve")
+            if (opt.form == "serve")
                 opt.server.resume = true;
             else
                 job.resumePath = next();
