@@ -57,9 +57,9 @@ done
     --trace seq-trace.json --quiet >seq.txt 2>/dev/null ||
     fail "sequential exited $?"
 "$BIN" compare nbody --size 4 --invocations 2 --iterations 3 \
-    --metrics cmp-metrics.json --trace cmp-trace.json --quiet \
+    --metrics cmp-metrics.json --trace cmp-trace.json \
     >cmp.txt 2>/dev/null || fail "compare nbody exited $?"
-"$BIN" profile nbody --size 4 --iterations 3 --quiet >profile.txt \
+"$BIN" profile nbody --size 4 --iterations 3 >profile.txt \
     2>/dev/null || fail "profile exited $?"
 
 SUITE=(suite --invocations 2 --iterations 2 --size 4 --quiet)
