@@ -12,6 +12,7 @@
 #include "support/filelock.hh"
 #include "support/fingerprint.hh"
 #include "support/logging.hh"
+#include "support/parallel.hh"
 #include "support/schema.hh"
 #include "support/str.hh"
 
@@ -73,21 +74,32 @@ skeletonOf(const CanonicalState &canon)
 }
 
 /**
- * The payload scan() summarizes (a skeleton when the bytes are
- * canonical), from the backup when the main copy is unusable.
+ * What scan()'s parallel step found out about one entry file: the
+ * payload of its main copy (a skeleton when the bytes are canonical)
+ * and checkPayload()'s verdict, when the main copy verified.
  */
-Json
-scanPayload(const std::string &path)
+struct ScannedEntry
+{
+    /** False: the commit loop falls back to the backup. */
+    bool verified = false;
+    Json payload;
+    PayloadState state = PayloadState::Bad;
+    std::string why;
+};
+
+/**
+ * Verify the main copy of one entry. No fsOps(), no log call: it runs
+ * on parallelFor helpers.
+ */
+void
+verifyMainCopy(const std::string &path, ScannedEntry &out)
 {
     std::string text;
-    Json payload;
-    if (readFile(path, text) && verifyEntryText(text, &payload, nullptr))
-        return payload;
-    // loadStateFile tries the backup and words the error.
-    StateLoad load = loadStateFile(path);
-    if (load.usedBackup)
-        warn("%s", load.warning.c_str());
-    return std::move(load.payload);
+    if (!readFile(path, text) ||
+        !verifyEntryText(text, &out.payload, nullptr))
+        return;
+    out.state = checkPayload(out.payload, &out.why);
+    out.verified = true;
 }
 
 } // namespace
@@ -322,18 +334,34 @@ RunArchive::scan() const
               ec.message().c_str());
     std::sort(files.begin(), files.end());
 
+    // Verify in parallel, commit in order: every entry's main copy is
+    // read and checked independently, then the loop below warns,
+    // falls back to backups, takes the lock and quarantines in id
+    // order, exactly as a serial scan would.
+    std::vector<ScannedEntry> scanned(files.size());
+    parallelFor(files.size(), [&](size_t k) {
+        verifyMainCopy(files[k].second, scanned[k]);
+    });
+
     // The lock is taken lazily, only if something needs
     // quarantining: clean archives — the overwhelmingly common case —
     // scan without touching the lock at all.
     FileLock lock;
     bool lockTried = false;
 
-    for (const auto &[id, path] : files) {
+    for (size_t k = 0; k < files.size(); ++k) {
+        const auto &[id, path] = files[k];
+        ScannedEntry &entry = scanned[k];
         try {
-            Json payload = scanPayload(path);
-            std::string why;
-            PayloadState state = checkPayload(payload, &why);
-            if (state == PayloadState::Future) {
+            if (!entry.verified) {
+                // loadStateFile tries the backup and words the error.
+                StateLoad load = loadStateFile(path);
+                if (load.usedBackup)
+                    warn("%s", load.warning.c_str());
+                entry.payload = std::move(load.payload);
+                entry.state = checkPayload(entry.payload, &entry.why);
+            }
+            if (entry.state == PayloadState::Future) {
                 // Written by a future build: perfectly healthy data
                 // this build cannot interpret. Skip, never
                 // quarantine — downgrades must not eat archives.
@@ -341,13 +369,14 @@ RunArchive::scan() const
                      "versions %d..%d, leaving it in place",
                      path.c_str(), kArchiveEntrySchema,
                      static_cast<long long>(
-                         payload.at("version").asInt()),
+                         entry.payload.at("version").asInt()),
                      kArchiveEntryMinVersion, kArchiveEntryVersion);
                 continue;
             }
-            if (state == PayloadState::Bad)
-                fatal("%s: %s", path.c_str(), why.c_str());
-            out.entries.push_back(summaryFromPayload(payload, id, path));
+            if (entry.state == PayloadState::Bad)
+                fatal("%s: %s", path.c_str(), entry.why.c_str());
+            out.entries.push_back(
+                summaryFromPayload(entry.payload, id, path));
         } catch (const FatalError &e) {
             // Both the file and its backup are unusable (or its
             // schema is foreign): quarantine instead of aborting the

@@ -11,6 +11,7 @@
 #include "support/durable_io.hh"
 #include "support/filelock.hh"
 #include "support/logging.hh"
+#include "support/parallel.hh"
 #include "support/schema.hh"
 #include "support/str.hh"
 
@@ -218,11 +219,23 @@ fsckArchive(const std::string &dir, bool repair,
     }
 
     // --- entry files --------------------------------------------------
+    // Verify in parallel, commit in order: every main copy is checked
+    // on its own (a rename below does not change its bytes), then the
+    // loop records findings and repairs in id order.
+    std::vector<std::pair<PayloadState, std::string>> checks(
+        listing.mains.size());
+    parallelFor(checks.size(), [&](size_t k) {
+        auto &[state, why] = checks[k];
+        state = verifyEntryFile(pass.fullPath(listing.mains[k].second),
+                                nullptr, &why);
+    });
+
     // Names that verified (or were repaired into verifying); baks are
     // matched against this set afterwards.
     std::set<std::string> healthyMains;
 
-    for (auto &[id, name] : listing.mains) {
+    for (size_t k = 0; k < listing.mains.size(); ++k) {
+        auto &[id, name] = listing.mains[k];
         ++report.entriesScanned;
 
         // Naming first: a non-canonical digit count (entry-7.json)
@@ -264,9 +277,7 @@ fsckArchive(const std::string &dir, bool repair,
             name = canonical; // fall through to content checks
         }
 
-        std::string why;
-        PayloadState state =
-            verifyEntryFile(pass.fullPath(name), nullptr, &why);
+        const auto &[state, why] = checks[k];
         if (state == PayloadState::Ok) {
             ++report.entriesOk;
             report.headId = std::max(report.headId, id);

@@ -10,6 +10,7 @@
 #include "stats/hierarchy.hh"
 #include "support/fingerprint.hh"
 #include "support/logging.hh"
+#include "support/parallel.hh"
 #include "support/rng.hh"
 #include "support/schema.hh"
 #include "support/str.hh"
@@ -127,6 +128,34 @@ pairSeed(uint64_t master, const RunKey &key)
     return mix.next();
 }
 
+/** One pair's comparison: a pure function of its runs and `cfg`. */
+WorkloadComparison
+comparePair(const RunKey &key, const harness::RunResult &baseRun,
+            const harness::RunResult &candRun, const CompareConfig &cfg)
+{
+    WorkloadComparison wc;
+    wc.workload = key.first;
+    wc.tier = key.second;
+    auto baseSamples = steadySamples(baseRun);
+    auto candSamples = steadySamples(candRun);
+    wc.baselineMs = stats::mean(stats::invocationMeans(baseSamples));
+    wc.candidateMs = stats::mean(stats::invocationMeans(candSamples));
+    wc.baselineInvocations = baseSamples.size();
+    wc.candidateInvocations = candSamples.size();
+
+    Rng rng(pairSeed(cfg.seed, key));
+    wc.speedup = stats::hierarchicalRatioInterval(
+        baseSamples, candSamples, rng, cfg.confidence, cfg.resamples);
+    if (wc.speedup.lower > 1.0)
+        wc.verdict = Verdict::Faster;
+    else if (wc.speedup.upper < 1.0)
+        wc.verdict = Verdict::Slower;
+    else
+        wc.verdict = Verdict::Inconclusive;
+    wc.effect = classifyEffect(wc.speedup.estimate);
+    return wc;
+}
+
 std::string
 fmtSeed(uint64_t seed)
 {
@@ -171,7 +200,15 @@ compareEntries(const archive::Entry &baseline,
     auto baseRuns = runsByKey(baseline, cfg.baselineTier, display);
     auto candRuns = runsByKey(candidate, cfg.candidateTier, display);
 
-    std::vector<double> pointSpeedups;
+    // The comparable pairs in key order; the one-sided keys are
+    // listed as they come.
+    struct Pair
+    {
+        const RunKey *key;
+        const harness::RunResult *base;
+        const harness::RunResult *cand;
+    };
+    std::vector<Pair> pairs;
     for (const auto &[key, baseRun] : baseRuns) {
         auto it = candRuns.find(key);
         bool baseUsable = !baseRun->invocations.empty();
@@ -186,34 +223,19 @@ compareEntries(const archive::Entry &baseline,
             report.candidateOnly.push_back(keyName(key));
             continue;
         }
-        const harness::RunResult *candRun = it->second;
-
-        WorkloadComparison wc;
-        wc.workload = key.first;
-        wc.tier = key.second;
-        auto baseSamples = steadySamples(*baseRun);
-        auto candSamples = steadySamples(*candRun);
-        wc.baselineMs =
-            stats::mean(stats::invocationMeans(baseSamples));
-        wc.candidateMs =
-            stats::mean(stats::invocationMeans(candSamples));
-        wc.baselineInvocations = baseSamples.size();
-        wc.candidateInvocations = candSamples.size();
-
-        Rng rng(pairSeed(cfg.seed, key));
-        wc.speedup = stats::hierarchicalRatioInterval(
-            baseSamples, candSamples, rng, cfg.confidence,
-            cfg.resamples);
-        if (wc.speedup.lower > 1.0)
-            wc.verdict = Verdict::Faster;
-        else if (wc.speedup.upper < 1.0)
-            wc.verdict = Verdict::Slower;
-        else
-            wc.verdict = Verdict::Inconclusive;
-        wc.effect = classifyEffect(wc.speedup.estimate);
-        pointSpeedups.push_back(wc.speedup.estimate);
-        report.workloads.push_back(std::move(wc));
+        pairs.push_back({&key, baseRun, it->second});
     }
+
+    // Each pair bootstraps from its own seeded stream, so the pairs
+    // run in parallel and the report is assembled in key order.
+    report.workloads.resize(pairs.size());
+    parallelFor(pairs.size(), [&](size_t k) {
+        report.workloads[k] = comparePair(*pairs[k].key, *pairs[k].base,
+                                          *pairs[k].cand, cfg);
+    });
+    std::vector<double> pointSpeedups;
+    for (const auto &wc : report.workloads)
+        pointSpeedups.push_back(wc.speedup.estimate);
     for (const auto &[key, candRun] : candRuns)
         if (!baseRuns.count(key) && !candRun->invocations.empty())
             report.candidateOnly.push_back(keyName(key));

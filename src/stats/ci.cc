@@ -62,9 +62,10 @@ bootstrapInterval(
     std::vector<double> stats;
     stats.reserve(static_cast<size_t>(resamples));
     std::vector<double> resample(xs.size());
+    uint64_t threshold = Rng::boundedThreshold(xs.size());
     for (int r = 0; r < resamples; ++r) {
         for (auto &v : resample)
-            v = xs[rng.nextBounded(xs.size())];
+            v = xs[rng.nextBounded(xs.size(), threshold)];
         stats.push_back(statistic(resample));
     }
     std::sort(stats.begin(), stats.end());
@@ -162,22 +163,44 @@ meanOfMeans(const std::vector<std::vector<double>> &samples)
 }
 
 /**
+ * A two-level sample with the rejection thresholds of its bootstrap
+ * draws (Rng::boundedThreshold) computed once: the invocation
+ * count's and each invocation's iteration count's.
+ */
+struct TwoLevelDraws
+{
+    explicit TwoLevelDraws(const std::vector<std::vector<double>> &s)
+        : samples(s), invocationThreshold(Rng::boundedThreshold(s.size()))
+    {
+        for (const auto &inv : s)
+            iterationThresholds.push_back(
+                Rng::boundedThreshold(inv.size()));
+    }
+
+    const std::vector<std::vector<double>> &samples;
+    uint64_t invocationThreshold;
+    std::vector<uint64_t> iterationThresholds;
+};
+
+/**
  * One hierarchical bootstrap replicate: resample invocations with
  * replacement, then iterations within each chosen invocation, and
  * return the replicate's mean of invocation means.
  */
 double
-resampleMeanOfMeans(const std::vector<std::vector<double>> &samples,
-                    Rng &rng)
+resampleMeanOfMeans(const TwoLevelDraws &draws, Rng &rng)
 {
+    const auto &samples = draws.samples;
     size_t n = samples.size();
     double total = 0.0;
     for (size_t i = 0; i < n; ++i) {
-        const auto &inv = samples[rng.nextBounded(n)];
+        size_t k = rng.nextBounded(n, draws.invocationThreshold);
+        const auto &inv = samples[k];
         size_t m = inv.size();
+        uint64_t threshold = draws.iterationThresholds[k];
         double s = 0.0;
         for (size_t j = 0; j < m; ++j)
-            s += inv[rng.nextBounded(m)];
+            s += inv[rng.nextBounded(m, threshold)];
         total += s / static_cast<double>(m);
     }
     return total / static_cast<double>(n);
@@ -216,11 +239,12 @@ hierarchicalRatioInterval(
         panic("hierarchicalRatioInterval: zero denominator mean");
     ci.estimate = meanOfMeans(numer) / denomMean;
 
+    TwoLevelDraws numerDraws(numer), denomDraws(denom);
     std::vector<double> ratios;
     ratios.reserve(static_cast<size_t>(resamples));
     for (int r = 0; r < resamples; ++r) {
-        double num = resampleMeanOfMeans(numer, rng);
-        double den = resampleMeanOfMeans(denom, rng);
+        double num = resampleMeanOfMeans(numerDraws, rng);
+        double den = resampleMeanOfMeans(denomDraws, rng);
         // A replicate with a zero denominator (possible only for
         // degenerate all-zero data) would poison the percentile; the
         // zero-mean panic above already excludes the systematic case.

@@ -29,12 +29,23 @@ Rng::nextU64()
 }
 
 uint64_t
-Rng::nextBounded(uint64_t bound)
+Rng::boundedThreshold(uint64_t bound)
 {
     if (bound == 0)
         panic("Rng::nextBounded: bound must be positive");
+    return (0ULL - bound) % bound;
+}
+
+uint64_t
+Rng::nextBounded(uint64_t bound)
+{
+    return nextBounded(bound, boundedThreshold(bound));
+}
+
+uint64_t
+Rng::nextBounded(uint64_t bound, uint64_t threshold)
+{
     // Rejection sampling to remove modulo bias.
-    uint64_t threshold = (0ULL - bound) % bound;
     for (;;) {
         uint64_t r = nextU64();
         if (r >= threshold)

@@ -5,13 +5,17 @@
  * semantics (ids are never reused).
  */
 
+#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "archive/archive.hh"
+#include "archive/entry_format.hh"
 #include "archive/fsck.hh"
 #include "support/durable_io.hh"
 #include "support/filelock.hh"
@@ -549,6 +553,214 @@ TEST(Archive, ScanQuarantinesAUsableLookingEntryFsckRejects)
         ScanResult again = ar.scan();
         EXPECT_EQ(again.entries.size(), 1u) << key;
         EXPECT_EQ(again.quarantined.size(), 1u) << key;
+    }
+}
+
+/** Every message warn()/inform() delivers while it lives, in order. */
+class LogCapture
+{
+  public:
+    LogCapture()
+        : previous_(setLogSink([this](LogLevel, const std::string &msg) {
+              lines.push_back(msg);
+          }))
+    {
+    }
+    ~LogCapture() { setLogSink(std::move(previous_)); }
+    LogCapture(const LogCapture &) = delete;
+    LogCapture &operator=(const LogCapture &) = delete;
+
+    std::vector<std::string> lines;
+
+  private:
+    LogSink previous_;
+};
+
+/** Entry ids 1..kMixedEntries of writeMixedArchive(), by kind. */
+constexpr int kMixedEntries = 24;
+bool isCorrupt(int id) { return id % 4 == 1; }
+bool isRecoverable(int id) { return id % 4 == 2; }
+bool isFuture(int id) { return id % 4 == 3; }
+
+/**
+ * An archive whose entries repeat four kinds, so every helper of a
+ * parallel scan meets each: a CRC-corrupt entry with no backup
+ * (quarantined), a truncated entry with a verifying backup (recovered
+ * with a warning), a future-version entry (skipped in place) and a
+ * healthy one.
+ */
+void
+writeMixedArchive(const std::string &dir)
+{
+    RunArchive ar(dir);
+    for (int id = 1; id <= kMixedEntries; ++id) {
+        std::string path = dir + "/" + entryFileName(id);
+        std::string label = strprintf("e%02d", id);
+        if (isFuture(id)) {
+            Json payload = Json::object();
+            payload.set("schema", "rigorbench-archive-entry");
+            payload.set("version", 999);
+            payload.set("fingerprint", "f");
+            payload.set("command", "run");
+            payload.set("runs", Json::array());
+            writeStateFile(path, payload);
+            continue;
+        }
+        ASSERT_EQ(ar.append(makeConfig(id), label, "run",
+                            {makeRun("sieve", 1.0 + id)}),
+                  id);
+        std::string text;
+        ASSERT_TRUE(readFile(path, text));
+        if (isCorrupt(id)) {
+            size_t at = text.find("\"" + label + "\"");
+            ASSERT_NE(at, std::string::npos);
+            text[at + 1] = 'x';
+            atomicWriteFile(path, text);
+        } else if (isRecoverable(id)) {
+            atomicWriteFile(stateBackupPath(path), text);
+            atomicWriteFile(path, text.substr(0, text.size() / 2));
+        }
+    }
+}
+
+/** Copy `from` to a fresh `to`, replacing what `to` held. */
+void
+copyArchive(const std::string &from, const std::string &to)
+{
+    std::filesystem::remove_all(to);
+    std::filesystem::copy(from, to,
+                          std::filesystem::copy_options::recursive);
+}
+
+/** Sorted names of the files in `dir`. */
+std::vector<std::string>
+listNames(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        names.push_back(e.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+// Entries are verified on helper threads, but warnings, backup
+// fallbacks and quarantine renames are committed in id order: every
+// scan of the same damage reads the same.
+TEST(Archive, ParallelScanCommitsInIdOrderEveryTime)
+{
+    ScratchDir scratch;
+    std::string tmpl = scratch.path("template");
+    std::string dir = scratch.path("archive");
+    writeMixedArchive(tmpl);
+
+    std::vector<int> kept, warned, quarantined;
+    for (int id = 1; id <= kMixedEntries; ++id) {
+        if (!isCorrupt(id) && !isFuture(id))
+            kept.push_back(id);
+        if (isCorrupt(id) || isRecoverable(id) || isFuture(id))
+            warned.push_back(id);
+        if (isCorrupt(id))
+            quarantined.push_back(id);
+    }
+
+    std::vector<std::string> firstSummaries, firstLog, firstNames;
+    for (int round = 0; round < 20; ++round) {
+        SCOPED_TRACE(strprintf("round %d", round));
+        copyArchive(tmpl, dir);
+        ScanResult scan;
+        std::vector<std::string> log;
+        {
+            LogCapture capture;
+            scan = RunArchive(dir).scan();
+            log = capture.lines;
+        }
+        std::vector<std::string> summaries;
+        for (const auto &e : scan.entries)
+            summaries.push_back(strprintf(
+                "%d %s %s %s %d %llu", e.id, e.label.c_str(),
+                e.fingerprint.c_str(), e.command.c_str(), e.runCount,
+                static_cast<unsigned long long>(e.sizeBytes)));
+
+        ASSERT_EQ(scan.entries.size(), kept.size());
+        for (size_t i = 0; i < kept.size(); ++i)
+            EXPECT_EQ(scan.entries[i].id, kept[i]);
+        ASSERT_EQ(log.size(), warned.size());
+        for (size_t i = 0; i < warned.size(); ++i) {
+            int id = warned[i];
+            const std::string &line = log[i];
+            EXPECT_NE(line.find(dir + "/" + entryFileName(id)),
+                      std::string::npos)
+                << line;
+            const char *expect = isCorrupt(id) ? "quarantined as"
+                : isRecoverable(id) ? "recovered the last good checkpoint"
+                                    : "version 999";
+            EXPECT_NE(line.find(expect), std::string::npos) << line;
+        }
+        ASSERT_EQ(scan.quarantined.size(), quarantined.size());
+        for (size_t i = 0; i < quarantined.size(); ++i)
+            EXPECT_EQ(scan.quarantined[i],
+                      dir + "/" + entryFileName(quarantined[i]) +
+                          kQuarantineSuffix);
+
+        if (round == 0) {
+            firstSummaries = summaries;
+            firstLog = log;
+            firstNames = listNames(dir);
+            continue;
+        }
+        EXPECT_EQ(summaries, firstSummaries);
+        EXPECT_EQ(log, firstLog);
+        EXPECT_EQ(listNames(dir), firstNames);
+    }
+}
+
+// fsck verifies every main copy in parallel too, and repairs in id
+// order: the same findings, actions and directory every time.
+TEST(Archive, ParallelFsckCommitsInIdOrderEveryTime)
+{
+    ScratchDir scratch;
+    std::string tmpl = scratch.path("template");
+    std::string dir = scratch.path("archive");
+    writeMixedArchive(tmpl);
+
+    std::vector<std::pair<std::string, std::string>> expected;
+    for (int id = 1; id <= kMixedEntries; ++id) {
+        std::string path = dir + "/" + entryFileName(id);
+        if (isCorrupt(id))
+            expected.emplace_back("corrupt-entry", path);
+        else if (isRecoverable(id))
+            expected.emplace_back("corrupt-main", path);
+        else if (isFuture(id))
+            expected.emplace_back("future-version", path);
+    }
+
+    std::string firstText;
+    std::vector<std::string> firstNames;
+    for (int round = 0; round < 20; ++round) {
+        SCOPED_TRACE(strprintf("round %d", round));
+        copyArchive(tmpl, dir);
+        FsckReport report;
+        std::vector<std::string> log;
+        {
+            LogCapture capture;
+            report = fsckArchive(dir, true);
+            log = capture.lines;
+        }
+        EXPECT_TRUE(log.empty());
+        ASSERT_EQ(report.findings.size(), expected.size());
+        for (size_t i = 0; i < expected.size(); ++i) {
+            EXPECT_EQ(report.findings[i].kind, expected[i].first);
+            EXPECT_EQ(report.findings[i].path, expected[i].second);
+        }
+        EXPECT_EQ(report.unrepaired(), 0);
+        std::string text = renderFsck(report);
+        if (round == 0) {
+            firstText = text;
+            firstNames = listNames(dir);
+            continue;
+        }
+        EXPECT_EQ(text, firstText);
+        EXPECT_EQ(listNames(dir), firstNames);
     }
 }
 

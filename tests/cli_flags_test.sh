@@ -195,6 +195,9 @@ rejects --resume submit suite --resume "$WORK/s.json" \
     --socket "$WORK/none.sock"
 rejects --cand-tier compare 1 2 --archive "$A" --base-tier interp
 rejects --confidence gate 1 2 --archive "$A" --confidence 1
+# A label names the archived entry: without --archive there is none.
+rejects --label run nbody --label x
+rejects --label submit suite --label x
 [ -e "$WORK/x.json" ] || [ -e "$WORK/f.json" ] || [ -e "$A" ] &&
     fail "a rejected command line wrote a file"
 # A submitted job takes its own command's flags.

@@ -5,10 +5,17 @@
  * verdicts, and the regression gate's decision rule.
  */
 
+#include <algorithm>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "compare/compare.hh"
+#include "harness/analysis.hh"
 #include "stats/ci.hh"
+#include "stats/descriptive.hh"
+#include "stats/hierarchy.hh"
+#include "support/fingerprint.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 
@@ -241,6 +248,148 @@ TEST(Compare, UnpairedRunsAreReportedNotCompared)
                             {makeRun("other", vm::Tier::Interp,
                                      1.0)});
     EXPECT_THROW(compareEntries(base, lonely, cfg), FatalError);
+}
+
+/**
+ * A run with a seeded warm-up and noise, so steady-state detection
+ * cuts some invocations and every pair's interval has width.
+ */
+harness::RunResult
+makeNoisyRun(const std::string &workload, vm::Tier tier, double baseMs,
+             uint64_t seed)
+{
+    Rng rng(seed);
+    harness::RunResult run;
+    run.workload = workload;
+    run.tier = tier;
+    run.size = 10;
+    for (int inv = 0; inv < 5; ++inv) {
+        harness::InvocationResult ir;
+        ir.invocationSeed = seed + inv;
+        double level = baseMs * (1.0 + 0.05 * rng.nextGaussian());
+        for (int it = 0; it < 12; ++it) {
+            harness::IterationSample s;
+            double warm = it < 3 ? 0.5 * (3 - it) : 0.0;
+            s.timeMs = level * (1.0 + warm) *
+                (1.0 + 0.01 * rng.nextGaussian());
+            ir.samples.push_back(s);
+        }
+        run.invocations.push_back(ir);
+    }
+    run.invocationsAttempted = 5;
+    return run;
+}
+
+/** compare.cc's steady-state sample of a run, written out again. */
+TwoLevel
+steadyOf(const harness::RunResult &run)
+{
+    auto summary = harness::analyzeSteadyState(run);
+    TwoLevel out;
+    for (size_t i = 0; i < run.invocations.size(); ++i) {
+        std::vector<double> times = run.invocations[i].times();
+        const auto &ss = summary.perInvocation[i];
+        size_t start =
+            ss.hasSteadyState() && ss.steadyStart < times.size()
+                ? ss.steadyStart
+                : 0;
+        out.emplace_back(times.begin() + static_cast<ptrdiff_t>(start),
+                         times.end());
+    }
+    return out;
+}
+
+// The pairs are bootstrapped in parallel; the report must still be
+// the one a loop over the pairs in (workload, tier) order assembles.
+TEST(Compare, ReportEqualsOneAssembledPairByPair)
+{
+    const vm::Tier tiers[] = {vm::Tier::Interp, vm::Tier::Adaptive,
+                              vm::Tier::Threaded};
+    std::vector<harness::RunResult> a, b;
+    std::vector<std::tuple<std::string, std::string, size_t>> keys;
+    for (int w = 0; w < 12; ++w) {
+        for (vm::Tier tier : tiers) {
+            std::string name = strprintf("wl%02d", (w * 7) % 12);
+            double scale = 0.9 + 0.02 * w;
+            uint64_t seed = 1000 + 10 * a.size();
+            keys.emplace_back(name, vm::tierName(tier), a.size());
+            a.push_back(makeNoisyRun(name, tier, 2.0, seed));
+            b.push_back(makeNoisyRun(name, tier, 2.0 * scale, seed + 1));
+        }
+    }
+    std::sort(keys.begin(), keys.end());
+    CompareConfig cfg;
+    cfg.seed = 0x5eed;
+    cfg.resamples = 300;
+    auto report = compareEntries(makeEntry(1, "aaaa", a),
+                                 makeEntry(2, "bbbb", b), cfg);
+
+    ASSERT_EQ(report.workloads.size(), keys.size());
+    std::vector<double> points;
+    for (size_t k = 0; k < keys.size(); ++k) {
+        const auto &[name, tier, i] = keys[k];
+        SCOPED_TRACE(name + "/" + tier);
+        TwoLevel base = steadyOf(a[i]), cand = steadyOf(b[i]);
+        SplitMix64 mix(cfg.seed ^ fnv1a64(name + "/" + tier));
+        Rng rng(mix.next());
+        auto ci = stats::hierarchicalRatioInterval(
+            base, cand, rng, cfg.confidence, cfg.resamples);
+        const WorkloadComparison &wc = report.workloads[k];
+        EXPECT_EQ(wc.workload, name);
+        EXPECT_EQ(wc.tier, tier);
+        EXPECT_EQ(wc.baselineMs,
+                  stats::mean(stats::invocationMeans(base)));
+        EXPECT_EQ(wc.candidateMs,
+                  stats::mean(stats::invocationMeans(cand)));
+        EXPECT_EQ(wc.speedup.estimate, ci.estimate);
+        EXPECT_EQ(wc.speedup.lower, ci.lower);
+        EXPECT_EQ(wc.speedup.upper, ci.upper);
+        Verdict v = ci.lower > 1.0 ? Verdict::Faster
+            : ci.upper < 1.0       ? Verdict::Slower
+                                   : Verdict::Inconclusive;
+        EXPECT_EQ(wc.verdict, v);
+        EXPECT_EQ(wc.effect, classifyEffect(ci.estimate));
+        points.push_back(ci.estimate);
+    }
+    auto geomean = stats::geomeanInterval(points, cfg.confidence);
+    EXPECT_EQ(report.geomean.estimate, geomean.estimate);
+    EXPECT_EQ(report.geomean.lower, geomean.lower);
+    EXPECT_EQ(report.geomean.upper, geomean.upper);
+}
+
+// When several pairs fail, the error is the first failing pair's in
+// key order, as a serial loop would have stopped there.
+TEST(Compare, FailingPairsRaiseTheFirstInKeyOrder)
+{
+    // A negative baseline makes a negative speedup, which
+    // classifyEffect refuses with the value in its message.
+    auto constant = [](const std::string &name, double ms) {
+        harness::RunResult run = makeRun(name, vm::Tier::Interp, 1.0);
+        for (auto &inv : run.invocations)
+            for (auto &s : inv.samples)
+                s.timeMs = ms;
+        return run;
+    };
+    std::vector<harness::RunResult> a, b;
+    for (int w = 23; w >= 0; --w) {
+        std::string name = strprintf("w%02d", w);
+        bool failing = w % 5 == 3;
+        a.push_back(constant(name, failing ? -(w + 1.0) : 1.0));
+        b.push_back(constant(name, 1.0));
+    }
+    auto base = makeEntry(1, "aaaa", a), cand = makeEntry(2, "bbbb", b);
+    CompareConfig cfg;
+    cfg.resamples = 50;
+    for (int round = 0; round < 20; ++round) {
+        try {
+            compareEntries(base, cand, cfg);
+            ADD_FAILURE() << "no pair failed";
+        } catch (const PanicError &e) {
+            EXPECT_STREQ(e.what(),
+                         "panic: classifyEffect: non-positive speedup -4")
+                << "round " << round;
+        }
+    }
 }
 
 } // namespace

@@ -8,6 +8,7 @@
  */
 
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -21,6 +22,7 @@
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/parallel.hh"
 #include "support/trace.hh"
 
 namespace rigor {
@@ -276,6 +278,71 @@ TEST(Parallel, TraceAppendReplaysClockArithmetic)
     TraceEmitter open(true);
     open.beginSpan("x", "t");
     EXPECT_THROW(main.append(std::move(open)), PanicError);
+}
+
+TEST(ParallelFor, RunsEveryItemOnce)
+{
+    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{1000}}) {
+        std::vector<std::atomic<int>> runs(n);
+        parallelFor(n, [&](size_t i) { runs[i].fetch_add(1); });
+        for (size_t i = 0; i < n; ++i)
+            EXPECT_EQ(runs[i].load(), 1) << "item " << i << " of " << n;
+        EXPECT_EQ(liveHelpers(), 0);
+    }
+}
+
+// Every item still runs when some throw, and the caller sees the
+// lowest failing item's exception, whichever thread ran it.
+TEST(ParallelFor, RethrowsTheLowestFailingItem)
+{
+    for (int round = 0; round < 20; ++round) {
+        std::vector<std::atomic<int>> runs(500);
+        try {
+            parallelFor(runs.size(), [&](size_t i) {
+                runs[i].fetch_add(1);
+                if (i == 499 || i == 137 || i == 300)
+                    throw std::runtime_error(std::to_string(i));
+            });
+            ADD_FAILURE() << "nothing thrown";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "137") << "round " << round;
+        }
+        for (auto &r : runs)
+            EXPECT_EQ(r.load(), 1);
+        // The helpers went back to the budget on the throwing path.
+        EXPECT_EQ(liveHelpers(), 0);
+    }
+    EXPECT_THROW(parallelFor(64, [](size_t) { throw 1; }), int);
+    EXPECT_EQ(liveHelpers(), 0);
+}
+
+// Concurrent and nested callers share one budget: the live helper
+// count never passes it, and every helper is returned at the end.
+TEST(ParallelFor, HelpersStayWithinTheProcessWideBudget)
+{
+    std::atomic<int> most{0};
+    std::atomic<int> items{0};
+    auto note = [&] {
+        int live = liveHelpers();
+        int seen = most.load();
+        while (live > seen && !most.compare_exchange_weak(seen, live)) {
+        }
+        items.fetch_add(1);
+    };
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 4; ++c)
+        callers.emplace_back([&] {
+            for (int round = 0; round < 10; ++round)
+                parallelFor(8, [&](size_t) {
+                    note();
+                    parallelFor(8, [&](size_t) { note(); });
+                });
+        });
+    for (auto &t : callers)
+        t.join();
+    EXPECT_EQ(items.load(), 4 * 10 * (8 + 8 * 8));
+    EXPECT_LE(most.load(), helperBudget());
+    EXPECT_EQ(liveHelpers(), 0);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <clocale>
 #include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -49,6 +50,37 @@ TEST(Rng, BoundedIsInRangeAndUnbiased)
     for (int c : counts)
         EXPECT_NEAR(c, 10000, 500);
     EXPECT_THROW(rng.nextBounded(0), PanicError);
+}
+
+// The bootstrap precomputes each bound's rejection threshold; the
+// draws must be the ones nextBounded(bound) makes, rejections included
+// (2^63 + 1 rejects almost half of all raw draws).
+TEST(Rng, PrecomputedThresholdDrawsAreIdentical)
+{
+    std::vector<uint64_t> bounds = {1, 2, 3, 7, 10, 1000, 1u << 20,
+                                    (uint64_t{1} << 32) + 1,
+                                    (uint64_t{1} << 63) - 1,
+                                    (uint64_t{1} << 63) + 1,
+                                    ~uint64_t{0}};
+    Rng pick(2024);
+    for (int i = 0; i < 50; ++i)
+        bounds.push_back(1 + pick.nextU64() % (uint64_t{1} << (i % 64)));
+    for (uint64_t seed = 0; seed < 40; ++seed) {
+        for (uint64_t bound : bounds) {
+            Rng plain(seed), pre(seed);
+            uint64_t threshold = Rng::boundedThreshold(bound);
+            for (int draw = 0; draw < 64; ++draw)
+                ASSERT_EQ(plain.nextBounded(bound),
+                          pre.nextBounded(bound, threshold))
+                    << "seed " << seed << " bound " << bound;
+            // Both consumed the same raw draws.
+            EXPECT_EQ(plain.nextU64(), pre.nextU64());
+        }
+    }
+    EXPECT_EQ(Rng::boundedThreshold(1), 0u);
+    EXPECT_EQ(Rng::boundedThreshold((uint64_t{1} << 63) + 1),
+              (uint64_t{1} << 63) - 1);
+    EXPECT_THROW(Rng::boundedThreshold(0), PanicError);
 }
 
 TEST(Rng, GaussianMoments)

@@ -54,6 +54,7 @@
  *      (queue full, draining, or an io:* fault spec)
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -465,6 +466,13 @@ parseArgs(int argc, char **argv)
             fatal("%s does not apply to '%s'", flag.c_str(),
                   submit ? ("submit " + job.command).c_str()
                          : opt.form.c_str());
+    // A label names the archived entry; with no archive it would
+    // name nothing.
+    if (job.archiveDir.empty() &&
+        std::find(opt.flags.begin(), opt.flags.end(), "--label") !=
+            opt.flags.end())
+        fatal("--label requires --archive DIR (it names the archived "
+              "entry)");
     if (serve::isJobCommand(opt.form) || opt.form == "submit")
         serve::validateJobSpec(job);
     if (isQuery(opt.form))
