@@ -42,10 +42,8 @@ main()
             auto summary = harness::analyzeSteadyState(run);
             uarch::CounterSet total;
             for (size_t i = 0; i < run.invocations.size(); ++i) {
-                const auto &ss = summary.perInvocation[i];
-                size_t start =
-                    ss.hasSteadyState() ? ss.steadyStart : 0;
                 const auto &samples = run.invocations[i].samples;
+                size_t start = harness::steadyStateStart(run, summary, i);
                 for (size_t j = start; j < samples.size(); ++j)
                     total.add(samples[j].counters);
             }

@@ -38,8 +38,8 @@ main()
         auto sw_est = harness::rigorousEstimate(sw);
         auto th_est = harness::rigorousEstimate(th);
         auto jit_est = harness::rigorousEstimate(jit);
-        auto th_speedup = harness::rigorousSpeedup(sw, th);
-        auto jit_speedup = harness::rigorousSpeedup(sw, jit);
+        auto th_speedup = harness::speedupFromEstimates(sw_est, th_est);
+        auto jit_speedup = harness::speedupFromEstimates(sw_est, jit_est);
         threaded_speedups.push_back(th_speedup);
         jit_speedups.push_back(jit_speedup);
 

@@ -42,7 +42,7 @@ main(int argc, char **argv)
 
     auto interp_est = harness::rigorousEstimate(interp);
     auto jit_est = harness::rigorousEstimate(jit);
-    auto speedup = harness::rigorousSpeedup(interp, jit);
+    auto speedup = harness::speedupFromEstimates(interp_est, jit_est);
 
     Table table({"tier", "time/iter (ms, 95% CI)", "warmup iters",
                  "series classes (flat/warm/slow/none)"});

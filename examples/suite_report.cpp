@@ -66,7 +66,7 @@ main(int argc, char **argv)
         auto jit = harness::runExperiment(spec, jcfg);
         auto ie = harness::rigorousEstimate(interp);
         auto je = harness::rigorousEstimate(jit);
-        auto speedup = harness::rigorousSpeedup(interp, jit);
+        auto speedup = harness::speedupFromEstimates(ie, je);
         auto vc = harness::varianceDecomposition(interp);
 
         interp_means.push_back(ie.ci.estimate);

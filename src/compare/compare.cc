@@ -59,32 +59,6 @@ classifyEffect(double speedup)
 
 namespace {
 
-/**
- * Steady-state two-level sample of a run: each invocation contributes
- * its iterations from the detected steady-state start (its full
- * series when no steady state was found — reported, not discarded,
- * matching rigorousEstimate's fallback).
- */
-std::vector<std::vector<double>>
-steadySamples(const harness::RunResult &run)
-{
-    auto summary = harness::analyzeSteadyState(run);
-    std::vector<std::vector<double>> out;
-    out.reserve(run.invocations.size());
-    for (size_t i = 0; i < run.invocations.size(); ++i) {
-        std::vector<double> times = run.invocations[i].times();
-        const auto &ss = summary.perInvocation[i];
-        size_t start =
-            ss.hasSteadyState() && ss.steadyStart < times.size()
-                ? ss.steadyStart
-                : 0;
-        out.emplace_back(times.begin() +
-                             static_cast<ptrdiff_t>(start),
-                         times.end());
-    }
-    return out;
-}
-
 using RunKey = std::pair<std::string, std::string>;
 
 /**
@@ -136,8 +110,12 @@ comparePair(const RunKey &key, const harness::RunResult &baseRun,
     WorkloadComparison wc;
     wc.workload = key.first;
     wc.tier = key.second;
-    auto baseSamples = steadySamples(baseRun);
-    auto candSamples = steadySamples(candRun);
+    // The rigorous estimate's warmup cut, without its t-interval:
+    // baselineMs is rigorousEstimate(baseRun).ci.estimate.
+    auto baseSamples = harness::steadyStateSeries(
+        baseRun, harness::analyzeSteadyState(baseRun));
+    auto candSamples = harness::steadyStateSeries(
+        candRun, harness::analyzeSteadyState(candRun));
     wc.baselineMs = stats::mean(stats::invocationMeans(baseSamples));
     wc.candidateMs = stats::mean(stats::invocationMeans(candSamples));
     wc.baselineInvocations = baseSamples.size();

@@ -9,17 +9,6 @@
 namespace rigor {
 namespace harness {
 
-double
-SteadyStateSummary::steadyFraction() const
-{
-    size_t total = perInvocation.size();
-    return total ? static_cast<double>(total -
-                                       static_cast<size_t>(
-                                           noSteadyState)) /
-            static_cast<double>(total)
-                 : 0.0;
-}
-
 SteadyStateSummary
 analyzeSteadyState(const RunResult &run,
                    const stats::SteadyStateOptions &opts)
@@ -50,6 +39,33 @@ analyzeSteadyState(const RunResult &run,
     if (with_steady)
         summary.meanSteadyStart = start_sum / with_steady;
     return summary;
+}
+
+size_t
+steadyStateStart(const RunResult &run, const SteadyStateSummary &summary,
+                 size_t i)
+{
+    const auto &ss = summary.perInvocation[i];
+    return ss.hasSteadyState() &&
+            ss.steadyStart < run.invocations[i].samples.size()
+        ? ss.steadyStart
+        : 0;
+}
+
+std::vector<std::vector<double>>
+steadyStateSeries(const RunResult &run, const SteadyStateSummary &summary)
+{
+    std::vector<std::vector<double>> out;
+    out.reserve(run.invocations.size());
+    for (size_t i = 0; i < run.invocations.size(); ++i) {
+        const auto &samples = run.invocations[i].samples;
+        std::vector<double> &steady = out.emplace_back();
+        size_t start = steadyStateStart(run, summary, i);
+        steady.reserve(samples.size() - start);
+        for (size_t j = start; j < samples.size(); ++j)
+            steady.push_back(samples[j].timeMs);
+    }
+    return out;
 }
 
 const char *
@@ -100,22 +116,8 @@ rigorousEstimate(const RunResult &run, double confidence)
 
     RigorousEstimate out;
     out.steadyState = analyzeSteadyState(run);
-    for (size_t i = 0; i < run.invocations.size(); ++i) {
-        const auto &inv = run.invocations[i];
-        const auto &ss = out.steadyState.perInvocation[i];
-        std::vector<double> times = inv.times();
-        if (ss.hasSteadyState() && ss.steadyStart < times.size()) {
-            std::vector<double> steady(
-                times.begin() +
-                    static_cast<ptrdiff_t>(ss.steadyStart),
-                times.end());
-            out.invocationMeans.push_back(stats::mean(steady));
-        } else {
-            // No steady state: fall back to the full series, counted
-            // in the summary so reports can flag it.
-            out.invocationMeans.push_back(stats::mean(times));
-        }
-    }
+    out.invocationMeans = stats::invocationMeans(
+        steadyStateSeries(run, out.steadyState));
     out.ci = stats::tInterval(out.invocationMeans, confidence);
     return out;
 }
@@ -148,37 +150,26 @@ pointEstimate(const RunResult &run, Methodology m)
     panic("pointEstimate: bad methodology");
 }
 
-stats::ConfidenceInterval
-intervalEstimate(const RunResult &run, Methodology m, double confidence)
+SpeedupResult
+speedupFromEstimates(const RigorousEstimate &baseline,
+                     const RigorousEstimate &optimized, double confidence)
 {
-    switch (m) {
-      case Methodology::RigorousMeanOfMeans:
-        return rigorousEstimate(run, confidence).ci;
-      case Methodology::NaivePooled:
-        return stats::naivePooledInterval(run.series(), confidence);
-      default: {
-        // Single-number methodologies have no interval at all.
-        stats::ConfidenceInterval ci;
-        ci.confidence = confidence;
-        ci.estimate = pointEstimate(run, m);
-        ci.lower = ci.upper = ci.estimate;
-        return ci;
-      }
-    }
+    SpeedupResult out;
+    out.ci = stats::ratioOfMeansInterval(baseline.invocationMeans,
+                                         optimized.invocationMeans,
+                                         confidence);
+    out.significant = baseline.invocationMeans.size() >= 2 &&
+        optimized.invocationMeans.size() >= 2 && !out.ci.contains(1.0);
+    return out;
 }
 
 SpeedupResult
 rigorousSpeedup(const RunResult &baseline, const RunResult &optimized,
                 double confidence)
 {
-    RigorousEstimate base = rigorousEstimate(baseline, confidence);
-    RigorousEstimate opt = rigorousEstimate(optimized, confidence);
-    SpeedupResult out;
-    out.ci = stats::ratioOfMeansInterval(base.invocationMeans,
-                                         opt.invocationMeans,
-                                         confidence);
-    out.significant = !out.ci.contains(1.0);
-    return out;
+    return speedupFromEstimates(rigorousEstimate(baseline, confidence),
+                                rigorousEstimate(optimized, confidence),
+                                confidence);
 }
 
 double
@@ -227,12 +218,8 @@ compareRuntimes(const std::vector<const RunResult *> &runs,
                 out.speedup[i][j] = self;
                 continue;
             }
-            SpeedupResult s;
-            s.ci = stats::ratioOfMeansInterval(
-                estimates[i].invocationMeans,
-                estimates[j].invocationMeans, confidence);
-            s.significant = !s.ci.contains(1.0);
-            out.speedup[i][j] = s;
+            out.speedup[i][j] = speedupFromEstimates(
+                estimates[i], estimates[j], confidence);
         }
     }
 
@@ -259,22 +246,13 @@ compareRuntimes(const std::vector<const RunResult *> &runs,
 stats::VarianceComponents
 varianceDecomposition(const RunResult &run)
 {
-    auto est = rigorousEstimate(run);
-    std::vector<std::vector<double>> steady_series;
-    for (size_t i = 0; i < run.invocations.size(); ++i) {
-        const auto &ss = est.steadyState.perInvocation[i];
-        std::vector<double> times = run.invocations[i].times();
-        size_t start =
-            ss.hasSteadyState() && ss.steadyStart < times.size()
-                ? ss.steadyStart
-                : 0;
-        std::vector<double> steady(
-            times.begin() + static_cast<ptrdiff_t>(start),
-            times.end());
-        if (steady.size() < 2)
-            steady = times;
-        steady_series.push_back(std::move(steady));
-    }
+    auto steady_series =
+        steadyStateSeries(run, analyzeSteadyState(run));
+    // A window too short for a within-invocation variance falls back
+    // to the whole series.
+    for (size_t i = 0; i < steady_series.size(); ++i)
+        if (steady_series[i].size() < 2)
+            steady_series[i] = run.invocations[i].times();
     return stats::decomposeVariance(steady_series);
 }
 

@@ -43,14 +43,28 @@ struct SteadyStateSummary
     double meanSteadyStart = 0.0;
     /** Max steady start (conservative warmup cut). */
     size_t maxSteadyStart = 0;
-
-    /** Fraction of invocations that reached a steady state. */
-    double steadyFraction() const;
 };
 
 /** Run the steady-state detector on every invocation. */
 SteadyStateSummary analyzeSteadyState(
     const RunResult &run, const stats::SteadyStateOptions &opts = {});
+
+/**
+ * The warmup cut: invocation `i`'s first steady-state iteration, where
+ * every steady-state estimate starts reading it. 0 (the whole series)
+ * when the detector found no steady state or the start is past the
+ * end; such invocations are counted in the summary, not discarded.
+ * `summary` is analyzeSteadyState(run).
+ */
+size_t steadyStateStart(const RunResult &run,
+                        const SteadyStateSummary &summary, size_t i);
+
+/**
+ * Each invocation's times from its steadyStateStart(): the two-level
+ * sample the rigorous estimate and the archive comparison read.
+ */
+std::vector<std::vector<double>> steadyStateSeries(
+    const RunResult &run, const SteadyStateSummary &summary);
 
 /** Estimation methodologies compared in the experiments. */
 enum class Methodology
@@ -93,23 +107,28 @@ RigorousEstimate rigorousEstimate(const RunResult &run,
  */
 double pointEstimate(const RunResult &run, Methodology m);
 
-/** Confidence interval under a methodology (degenerate for the
- *  single-number naive schemes, which is exactly their flaw). */
-stats::ConfidenceInterval intervalEstimate(const RunResult &run,
-                                           Methodology m,
-                                           double confidence = 0.95);
-
 /** A speedup of `optimized` over `baseline` with its interval. */
 struct SpeedupResult
 {
     stats::ConfidenceInterval ci;
-    /** True if the interval excludes 1.0. */
+    /**
+     * True if the interval excludes 1.0 and both sides rest on at
+     * least 2 invocation means (one invocation has no interval).
+     */
     bool significant = false;
 };
 
 /**
- * Rigorous speedup baseline/optimized (>1 means optimized is faster),
- * from steady-state invocation means via the log-Welch interval.
+ * The speedup rule: baseline/optimized (>1 means optimized is faster)
+ * as the log-Welch ratio-of-means interval over the two estimates'
+ * steady-state invocation means.
+ */
+SpeedupResult speedupFromEstimates(const RigorousEstimate &baseline,
+                                   const RigorousEstimate &optimized,
+                                   double confidence = 0.95);
+
+/**
+ * speedupFromEstimates() of the two runs' rigorousEstimate()s.
  */
 SpeedupResult rigorousSpeedup(const RunResult &baseline,
                               const RunResult &optimized,

@@ -1,7 +1,6 @@
 #include "harness/profile.hh"
 
 #include <algorithm>
-#include <array>
 #include <map>
 
 #include "harness/runner.hh"
@@ -17,7 +16,10 @@ namespace harness {
 
 namespace {
 
-/** Aggregates the dynamic event stream for one profiling run. */
+/**
+ * Aggregates the branch and allocation sites of one profiling run;
+ * the per-opcode and tier-up counts come from the VM's InterpStats.
+ */
 class ProfilingObserver : public vm::ExecutionObserver
 {
   public:
@@ -26,20 +28,6 @@ class ProfilingObserver : public vm::ExecutionObserver
         uint64_t count = 0;
         uint64_t secondary = 0;  ///< taken count / allocated bytes
     };
-
-    void
-    onBytecode(vm::Op op, uint32_t uops) override
-    {
-        auto i = static_cast<size_t>(op);
-        ++opCount[i];
-        opUops[i] += uops;
-    }
-
-    void
-    onDispatch(vm::Op op) override
-    {
-        ++opDispatched[static_cast<size_t>(op)];
-    }
 
     void
     onBranch(uint64_t site, bool taken) override
@@ -57,28 +45,9 @@ class ProfilingObserver : public vm::ExecutionObserver
         s.secondary += size;
     }
 
-    void
-    onJitCompile(uint32_t, uint64_t) override
-    {
-        ++jitCompiles;
-    }
-
-    void
-    onGuardFailure(vm::Op) override
-    {
-        ++guardFailures;
-    }
-
-    static constexpr size_t kNumOps =
-        static_cast<size_t>(vm::Op::NumOpcodes);
-    std::array<uint64_t, kNumOps> opCount{};
-    std::array<uint64_t, kNumOps> opUops{};
-    std::array<uint64_t, kNumOps> opDispatched{};
     // std::map keeps site order deterministic for equal-count ties.
     std::map<uint64_t, SiteStats> branchSites;
     std::map<uint64_t, SiteStats> allocSites;
-    uint64_t jitCompiles = 0;
-    uint64_t guardFailures = 0;
 };
 
 /** codeId -> function name, for turning site ids into locations. */
@@ -137,17 +106,18 @@ profileWorkload(const workloads::WorkloadSpec &spec,
     result.tier = config.tier;
     result.size = size;
     result.iterations = config.iterations;
-    result.jitCompiles = obs.jitCompiles;
-    result.guardFailures = obs.guardFailures;
+    const vm::InterpStats &counts = interp.stats();
+    result.jitCompiles = counts.jitCompiles;
+    result.guardFailures = counts.guardFailures;
 
-    for (size_t i = 0; i < ProfilingObserver::kNumOps; ++i) {
-        if (obs.opCount[i] == 0)
+    for (size_t i = 0; i < counts.perOp.size(); ++i) {
+        if (counts.perOp[i] == 0)
             continue;
         OpProfileEntry e;
         e.op = static_cast<vm::Op>(i);
-        e.count = obs.opCount[i];
-        e.uops = obs.opUops[i];
-        e.dispatched = obs.opDispatched[i];
+        e.count = counts.perOp[i];
+        e.uops = counts.perOpUops[i];
+        e.dispatched = counts.perOpDispatched[i];
         result.ops.push_back(e);
         result.totalBytecodes += e.count;
         result.totalUops += e.uops;

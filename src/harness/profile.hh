@@ -35,7 +35,12 @@ struct ProfileConfig
     int iterations = 8;
     /** Workload size (0 = the workload's defaultSize). */
     int64_t size = 0;
-    /** Seed deriving hash/ASLR seeds (same scheme as the runner). */
+    /**
+     * Seed of the hash and ASLR seeds: the first two draws of
+     * SplitMix64(seed), not the runner's per-invocation deriveSeed
+     * chain: a profile's VM seeds differ from those of every
+     * invocation of a run with the same seed.
+     */
     uint64_t seed = 0xc0ffee;
     /** JIT hot threshold (adaptive tier). */
     int jitThreshold = kDefaultJitThreshold;

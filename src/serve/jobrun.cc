@@ -93,6 +93,12 @@ makeConfig(const JobEnv &env, vm::Tier tier)
     return cfg;
 }
 
+/**
+ * Printed in place of an interval resting on one invocation mean: its
+ * zero width would read as a perfectly precise result.
+ */
+const char *const kNoInterval = "interval needs 2 invocations";
+
 /** The estimate block each measured run prints. */
 std::string
 renderEstimate(const harness::RunResult &run)
@@ -130,9 +136,14 @@ renderEstimate(const harness::RunResult &run)
                   run.invocations.size(),
                   run.invocations.front().samples.size(),
                   static_cast<long long>(run.size)));
-    add(strprintf("  time/iter: %s ms   (%s)\n",
-                  harness::formatCi(est.ci, 4).c_str(),
-                  harness::formatCiPercent(est.ci, 4).c_str()));
+    if (est.invocationMeans.size() < 2)
+        add(strprintf("  time/iter: %s ms   (%s)\n",
+                      fmtDouble(est.ci.estimate, 4).c_str(),
+                      kNoInterval));
+    else
+        add(strprintf("  time/iter: %s ms   (%s)\n",
+                      harness::formatCi(est.ci, 4).c_str(),
+                      harness::formatCiPercent(est.ci, 4).c_str()));
     add(strprintf("  series: %d flat, %d warmup, %d slowdown, "
                   "%d no-steady-state; mean warmup %.1f iters\n",
                   ss.flat, ss.warmup, ss.slowdown, ss.noSteadyState,
@@ -376,11 +387,14 @@ finishWorkloadState(harness::SuiteWorkloadState &ws,
         ws.failed = true;
         return;
     }
+    std::vector<harness::RigorousEstimate> estimates;
+    for (const auto &r : runs)
+        estimates.push_back(harness::rigorousEstimate(r));
     for (size_t t = 0; t < runs.size(); ++t)
-        ws.tierMs[t] = harness::rigorousEstimate(runs[t]).ci.estimate;
+        ws.tierMs[t] = estimates[t].ci.estimate;
     for (size_t t = 1; t < runs.size(); ++t)
-        ws.speedups[t - 1] =
-            harness::rigorousSpeedup(runs.front(), runs[t]);
+        ws.speedups[t - 1] = harness::speedupFromEstimates(
+            estimates.front(), estimates[t]);
 }
 
 /** A checkpointed run is done once every slot ran (or quarantine). */
@@ -569,9 +583,13 @@ runCompareJob(JobEnv &env)
     if (interp.invocations.empty() || jit.invocations.empty())
         return kExitFailure;
     auto s = harness::rigorousSpeedup(interp, jit);
-    env.out("speedup (adaptive over interp): %s %s\n",
-            harness::formatCi(s.ci, 3).c_str(),
-            s.significant ? "(significant)" : "(not significant)");
+    if (interp.invocations.size() < 2 || jit.invocations.size() < 2)
+        env.out("speedup (adaptive over interp): %s (%s)\n",
+                fmtDouble(s.ci.estimate, 3).c_str(), kNoInterval);
+    else
+        env.out("speedup (adaptive over interp): %s %s\n",
+                harness::formatCi(s.ci, 3).c_str(),
+                s.significant ? "(significant)" : "(not significant)");
     return kExitSuccess;
 }
 

@@ -45,37 +45,6 @@ tInterval(const std::vector<double> &xs, double confidence)
 }
 
 ConfidenceInterval
-bootstrapInterval(
-    const std::vector<double> &xs,
-    const std::function<double(const std::vector<double> &)> &statistic,
-    Rng &rng, double confidence, int resamples)
-{
-    if (xs.empty())
-        panic("bootstrapInterval: empty sample");
-    if (resamples < 10)
-        panic("bootstrapInterval: need at least 10 resamples");
-
-    ConfidenceInterval ci;
-    ci.confidence = confidence;
-    ci.estimate = statistic(xs);
-
-    std::vector<double> stats;
-    stats.reserve(static_cast<size_t>(resamples));
-    std::vector<double> resample(xs.size());
-    uint64_t threshold = Rng::boundedThreshold(xs.size());
-    for (int r = 0; r < resamples; ++r) {
-        for (auto &v : resample)
-            v = xs[rng.nextBounded(xs.size(), threshold)];
-        stats.push_back(statistic(resample));
-    }
-    std::sort(stats.begin(), stats.end());
-    double alpha = 1.0 - confidence;
-    ci.lower = sortedPercentile(stats, 100.0 * alpha / 2.0);
-    ci.upper = sortedPercentile(stats, 100.0 * (1.0 - alpha / 2.0));
-    return ci;
-}
-
-ConfidenceInterval
 geomeanInterval(const std::vector<double> &xs, double confidence)
 {
     if (xs.empty())

@@ -1,15 +1,14 @@
 /**
  * @file
- * Confidence intervals: parametric (Student-t), nonparametric
- * (bootstrap percentile), geometric-mean intervals and intervals for
- * ratios of means — the core quantities the rigorous methodology
- * reports instead of bare point estimates.
+ * Confidence intervals: Student-t, geometric-mean and ratio-of-means
+ * intervals (log-Welch and hierarchical bootstrap) — the core
+ * quantities the rigorous methodology reports instead of bare point
+ * estimates.
  */
 
 #ifndef RIGOR_STATS_CI_HH
 #define RIGOR_STATS_CI_HH
 
-#include <functional>
 #include <vector>
 
 #include "support/rng.hh"
@@ -42,18 +41,6 @@ struct ConfidenceInterval
  */
 ConfidenceInterval tInterval(const std::vector<double> &xs,
                              double confidence = 0.95);
-
-/**
- * Bootstrap percentile confidence interval for an arbitrary statistic.
- * @param xs sample.
- * @param statistic functional to bootstrap (e.g. median).
- * @param rng seeded generator for resampling (reproducible).
- * @param resamples number of bootstrap resamples.
- */
-ConfidenceInterval bootstrapInterval(
-    const std::vector<double> &xs,
-    const std::function<double(const std::vector<double> &)> &statistic,
-    Rng &rng, double confidence = 0.95, int resamples = 2000);
 
 /**
  * Confidence interval on the geometric mean, computed as a t-interval

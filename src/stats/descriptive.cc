@@ -84,20 +84,6 @@ geomean(const std::vector<double> &xs)
     return std::exp(log_sum / static_cast<double>(xs.size()));
 }
 
-double
-harmonicMean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        panic("harmonicMean: empty sample");
-    double inv_sum = 0.0;
-    for (double x : xs) {
-        if (x <= 0.0)
-            panic("harmonicMean: non-positive value %g", x);
-        inv_sum += 1.0 / x;
-    }
-    return static_cast<double>(xs.size()) / inv_sum;
-}
-
 Summary
 summarize(const std::vector<double> &xs)
 {
@@ -118,43 +104,6 @@ summarize(const std::vector<double> &xs)
     s.q3 = sortedPercentile(sorted, 75.0);
     s.cov = s.mean != 0.0 ? s.stddev / std::fabs(s.mean) : 0.0;
     return s;
-}
-
-double
-autocorrelation(const std::vector<double> &xs, size_t lag)
-{
-    size_t n = xs.size();
-    if (lag >= n || n < 2)
-        return 0.0;
-    double m = mean(xs);
-    double denom = 0.0;
-    for (double x : xs) {
-        double d = x - m;
-        denom += d * d;
-    }
-    if (denom == 0.0)
-        return 0.0;
-    double num = 0.0;
-    for (size_t i = 0; i + lag < n; ++i)
-        num += (xs[i] - m) * (xs[i + lag] - m);
-    return num / denom;
-}
-
-double
-effectiveSampleSize(const std::vector<double> &xs)
-{
-    size_t n = xs.size();
-    if (n < 3)
-        return static_cast<double>(n);
-    double rho_sum = 0.0;
-    for (size_t k = 1; k < n / 2; ++k) {
-        double rho = autocorrelation(xs, k);
-        if (rho <= 0.0)
-            break;
-        rho_sum += rho;
-    }
-    double ess = static_cast<double>(n) / (1.0 + 2.0 * rho_sum);
-    return std::max(1.0, std::min(ess, static_cast<double>(n)));
 }
 
 std::vector<size_t>

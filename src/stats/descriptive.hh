@@ -58,22 +58,6 @@ double median(const std::vector<double> &xs);
 /** Geometric mean; panics if any value is non-positive. */
 double geomean(const std::vector<double> &xs);
 
-/** Harmonic mean; panics if any value is non-positive. */
-double harmonicMean(const std::vector<double> &xs);
-
-/**
- * Lag-k sample autocorrelation; returns 0 when undefined (constant
- * series or k >= n).
- */
-double autocorrelation(const std::vector<double> &xs, size_t lag);
-
-/**
- * Effective sample size accounting for positive autocorrelation
- * (initial positive sequence estimator, truncated at the first
- * non-positive lag).
- */
-double effectiveSampleSize(const std::vector<double> &xs);
-
 /**
  * Indices of Tukey outliers: values outside [q1 - k*iqr, q3 + k*iqr].
  * @param k fence multiplier (1.5 = standard, 3.0 = far outliers).

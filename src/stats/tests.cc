@@ -3,61 +3,31 @@
 #include <algorithm>
 #include <cmath>
 
-#include "stats/descriptive.hh"
 #include "stats/distributions.hh"
 #include "support/logging.hh"
 
 namespace rigor {
 namespace stats {
 
-TestResult
-welchTTest(const std::vector<double> &a, const std::vector<double> &b)
-{
-    if (a.size() < 2 || b.size() < 2)
-        panic("welchTTest: need n >= 2 in each sample");
-
-    double m1 = mean(a), m2 = mean(b);
-    double v1 = variance(a), v2 = variance(b);
-    double n1 = static_cast<double>(a.size());
-    double n2 = static_cast<double>(b.size());
-
-    double se2 = v1 / n1 + v2 / n2;
-    TestResult r;
-    if (se2 == 0.0) {
-        r.statistic = m1 == m2 ? 0.0 : (m1 > m2 ? 1e9 : -1e9);
-        r.pValue = m1 == m2 ? 1.0 : 0.0;
-        r.dof = n1 + n2 - 2.0;
-        return r;
-    }
-    r.statistic = (m1 - m2) / std::sqrt(se2);
-    r.dof = se2 * se2 /
-        (v1 * v1 / (n1 * n1 * (n1 - 1.0)) +
-         v2 * v2 / (n2 * n2 * (n2 - 1.0)));
-    r.dof = std::max(1.0, r.dof);
-    double cdf = studentTCdf(std::fabs(r.statistic), r.dof);
-    r.pValue = 2.0 * (1.0 - cdf);
-    return r;
-}
-
 namespace {
 
-/** Midranks of the pooled sample; also accumulates tie correction. */
+/** Midranks of a sample; also accumulates the tie correction. */
 std::vector<double>
-midranks(const std::vector<double> &pooled, double &tie_correction)
+midranks(const std::vector<double> &xs, double &tie_correction)
 {
-    size_t n = pooled.size();
+    size_t n = xs.size();
     std::vector<size_t> order(n);
     for (size_t i = 0; i < n; ++i)
         order[i] = i;
     std::sort(order.begin(), order.end(),
-              [&](size_t x, size_t y) { return pooled[x] < pooled[y]; });
+              [&](size_t x, size_t y) { return xs[x] < xs[y]; });
 
     std::vector<double> ranks(n);
     tie_correction = 0.0;
     size_t i = 0;
     while (i < n) {
         size_t j = i;
-        while (j + 1 < n && pooled[order[j + 1]] == pooled[order[i]])
+        while (j + 1 < n && xs[order[j + 1]] == xs[order[i]])
             ++j;
         double avg_rank = (static_cast<double>(i) +
                            static_cast<double>(j)) / 2.0 + 1.0;
@@ -71,44 +41,6 @@ midranks(const std::vector<double> &pooled, double &tie_correction)
 }
 
 } // namespace
-
-TestResult
-mannWhitneyU(const std::vector<double> &a, const std::vector<double> &b)
-{
-    if (a.empty() || b.empty())
-        panic("mannWhitneyU: empty sample");
-
-    std::vector<double> pooled = a;
-    pooled.insert(pooled.end(), b.begin(), b.end());
-    double tie_correction = 0.0;
-    std::vector<double> ranks = midranks(pooled, tie_correction);
-
-    double n1 = static_cast<double>(a.size());
-    double n2 = static_cast<double>(b.size());
-    double rank_sum_a = 0.0;
-    for (size_t i = 0; i < a.size(); ++i)
-        rank_sum_a += ranks[i];
-
-    double u1 = rank_sum_a - n1 * (n1 + 1.0) / 2.0;
-    double mu = n1 * n2 / 2.0;
-    double n = n1 + n2;
-    double sigma2 = n1 * n2 / 12.0 *
-        ((n + 1.0) - tie_correction / (n * (n - 1.0)));
-
-    TestResult r;
-    if (sigma2 <= 0.0) {
-        r.statistic = 0.0;
-        r.pValue = 1.0;
-        return r;
-    }
-    // Continuity correction.
-    double diff = u1 - mu;
-    double cc = diff > 0.0 ? -0.5 : (diff < 0.0 ? 0.5 : 0.0);
-    r.statistic = (diff + cc) / std::sqrt(sigma2);
-    r.pValue = 2.0 * (1.0 - normalCdf(std::fabs(r.statistic)));
-    r.pValue = std::min(1.0, r.pValue);
-    return r;
-}
 
 TestResult
 wilcoxonSignedRank(const std::vector<double> &a,
@@ -161,41 +93,6 @@ wilcoxonSignedRank(const std::vector<double> &a,
     r.pValue = std::min(
         1.0, 2.0 * (1.0 - normalCdf(std::fabs(r.statistic))));
     return r;
-}
-
-double
-cohensD(const std::vector<double> &a, const std::vector<double> &b)
-{
-    if (a.size() < 2 || b.size() < 2)
-        panic("cohensD: need n >= 2 in each sample");
-    double n1 = static_cast<double>(a.size());
-    double n2 = static_cast<double>(b.size());
-    double pooled_var = ((n1 - 1.0) * variance(a) +
-                         (n2 - 1.0) * variance(b)) / (n1 + n2 - 2.0);
-    if (pooled_var == 0.0)
-        return 0.0;
-    return (mean(a) - mean(b)) / std::sqrt(pooled_var);
-}
-
-double
-cliffsDelta(const std::vector<double> &a, const std::vector<double> &b)
-{
-    if (a.empty() || b.empty())
-        panic("cliffsDelta: empty sample");
-    // O(n log n) via sorted b and binary search.
-    std::vector<double> sb = b;
-    std::sort(sb.begin(), sb.end());
-    double n1 = static_cast<double>(a.size());
-    double n2 = static_cast<double>(sb.size());
-    double total = 0.0;
-    for (double x : a) {
-        auto lo = std::lower_bound(sb.begin(), sb.end(), x);
-        auto hi = std::upper_bound(sb.begin(), sb.end(), x);
-        double less = static_cast<double>(lo - sb.begin());
-        double greater = static_cast<double>(sb.end() - hi);
-        total += less - greater;
-    }
-    return total / (n1 * n2);
 }
 
 } // namespace stats

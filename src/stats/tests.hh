@@ -1,7 +1,6 @@
 /**
  * @file
- * Hypothesis tests and effect sizes for comparing two runtimes'
- * measurement samples.
+ * Hypothesis test for comparing two runtimes across a suite.
  */
 
 #ifndef RIGOR_STATS_TESTS_HH
@@ -15,27 +14,12 @@ namespace stats {
 /** Result of a two-sample location test. */
 struct TestResult
 {
-    double statistic = 0.0;  ///< t statistic or standardized U
+    double statistic = 0.0;  ///< standardized W
     double pValue = 0.0;     ///< two-sided p-value
-    double dof = 0.0;        ///< degrees of freedom (t-tests only)
 
     /** True at the given significance level alpha. */
     bool significant(double alpha = 0.05) const { return pValue < alpha; }
 };
-
-/**
- * Welch's unequal-variance t-test for difference of means.
- * Requires n >= 2 in each sample.
- */
-TestResult welchTTest(const std::vector<double> &a,
-                      const std::vector<double> &b);
-
-/**
- * Mann-Whitney U test (normal approximation with tie correction).
- * Nonparametric alternative when normality is doubtful.
- */
-TestResult mannWhitneyU(const std::vector<double> &a,
-                        const std::vector<double> &b);
 
 /**
  * Wilcoxon signed-rank test for *paired* samples (normal
@@ -45,16 +29,6 @@ TestResult mannWhitneyU(const std::vector<double> &a,
  */
 TestResult wilcoxonSignedRank(const std::vector<double> &a,
                               const std::vector<double> &b);
-
-/** Cohen's d effect size with pooled standard deviation. */
-double cohensD(const std::vector<double> &a, const std::vector<double> &b);
-
-/**
- * Cliff's delta: P(a > b) - P(a < b), a robust ordinal effect size in
- * [-1, 1]; |delta| < 0.147 is conventionally "negligible".
- */
-double cliffsDelta(const std::vector<double> &a,
-                   const std::vector<double> &b);
 
 } // namespace stats
 } // namespace rigor

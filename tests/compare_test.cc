@@ -280,23 +280,49 @@ makeNoisyRun(const std::string &workload, vm::Tier tier, double baseMs,
     return run;
 }
 
-/** compare.cc's steady-state sample of a run, written out again. */
+/** The steady-state sample compare.cc bootstraps. */
 TwoLevel
 steadyOf(const harness::RunResult &run)
 {
-    auto summary = harness::analyzeSteadyState(run);
-    TwoLevel out;
-    for (size_t i = 0; i < run.invocations.size(); ++i) {
-        std::vector<double> times = run.invocations[i].times();
-        const auto &ss = summary.perInvocation[i];
-        size_t start =
-            ss.hasSteadyState() && ss.steadyStart < times.size()
-                ? ss.steadyStart
-                : 0;
-        out.emplace_back(times.begin() + static_cast<ptrdiff_t>(start),
-                         times.end());
-    }
-    return out;
+    return harness::steadyStateSeries(run,
+                                      harness::analyzeSteadyState(run));
+}
+
+// The pair's point estimates are the rigorous estimate's, cut for
+// cut, also for invocations that warm up or never settle.
+TEST(Compare, PairMeansAreTheRigorousEstimates)
+{
+    auto withUnsettled = [](harness::RunResult run, double level) {
+        // Slow, fast, then a middle level: no steady state.
+        Rng rng(7);
+        harness::InvocationResult ir;
+        for (double factor : {3.0, 3.0, 3.0, 3.0, 1.0, 1.0, 1.0, 1.0,
+                              2.0, 2.0, 2.0, 2.0}) {
+            harness::IterationSample s;
+            s.timeMs = level * factor * (1.0 + 0.01 * rng.nextGaussian());
+            ir.samples.push_back(s);
+        }
+        run.invocations.push_back(ir);
+        return run;
+    };
+    auto baseRun = withUnsettled(
+        makeNoisyRun("w", vm::Tier::Interp, 2.0, 41), 2.0);
+    auto candRun = withUnsettled(
+        makeNoisyRun("w", vm::Tier::Interp, 1.5, 42), 1.5);
+    auto summary = harness::analyzeSteadyState(baseRun);
+    ASSERT_GT(summary.warmup, 0);
+    ASSERT_EQ(summary.noSteadyState, 1);
+
+    CompareConfig cfg;
+    cfg.resamples = 100;
+    auto report = compareEntries(makeEntry(1, "aaaa", {baseRun}),
+                                 makeEntry(2, "aaaa", {candRun}), cfg);
+    ASSERT_EQ(report.workloads.size(), 1u);
+    const auto &wc = report.workloads[0];
+    EXPECT_EQ(wc.baselineMs,
+              harness::rigorousEstimate(baseRun).ci.estimate);
+    EXPECT_EQ(wc.candidateMs,
+              harness::rigorousEstimate(candRun).ci.estimate);
 }
 
 // The pairs are bootstrapped in parallel; the report must still be

@@ -16,7 +16,9 @@
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "stats/descriptive.hh"
+#include "stats/hierarchy.hh"
 #include "support/logging.hh"
+#include "support/rng.hh"
 
 namespace rigor {
 namespace harness {
@@ -201,7 +203,7 @@ TEST(Analysis, SteadyStateSummaryOnRealRun)
     auto summary = analyzeSteadyState(run);
     EXPECT_EQ(summary.perInvocation.size(), 5u);
     EXPECT_GE(summary.warmup, 3);
-    EXPECT_DOUBLE_EQ(summary.steadyFraction(), 1.0);
+    EXPECT_EQ(summary.noSteadyState, 0);
     EXPECT_GT(summary.meanSteadyStart, 0.0);
 }
 
@@ -242,10 +244,125 @@ TEST(Analysis, PooledIntervalNarrowerThanRigorous)
     cfg.noise.betweenSigma = 0.05;  // strong invocation effects
     cfg.invocations = 8;
     RunResult run = runExperiment("sieve", cfg);
-    auto rigorous =
-        intervalEstimate(run, Methodology::RigorousMeanOfMeans);
-    auto pooled = intervalEstimate(run, Methodology::NaivePooled);
+    auto rigorous = rigorousEstimate(run).ci;
+    auto pooled = stats::naivePooledInterval(run.series());
     EXPECT_GT(rigorous.halfWidth(), pooled.halfWidth());
+}
+
+/**
+ * Four invocations at `level` ms: one warms up, one is flat, one
+ * never settles (fast, then a slower level that is not the first),
+ * one warms up longer. 1% seeded noise on every iteration.
+ */
+RunResult
+mixedSteadyStateRun(double level, uint64_t seed)
+{
+    const std::vector<std::vector<std::pair<int, double>>> shapes = {
+        {{4, 3.0}, {16, 1.0}},
+        {{20, 1.0}},
+        {{6, 3.0}, {7, 1.0}, {7, 2.0}},
+        {{7, 2.0}, {13, 1.0}},
+    };
+    Rng rng(seed);
+    RunResult run;
+    run.workload = "mixed";
+    for (const auto &shape : shapes) {
+        InvocationResult inv;
+        for (const auto &[count, factor] : shape) {
+            for (int it = 0; it < count; ++it) {
+                IterationSample s;
+                s.timeMs = level * factor *
+                    (1.0 + 0.01 * rng.nextGaussian());
+                inv.samples.push_back(s);
+            }
+        }
+        run.invocations.push_back(std::move(inv));
+    }
+    run.invocationsAttempted = static_cast<int>(shapes.size());
+    return run;
+}
+
+TEST(Analysis, EveryEstimateCutsWarmupAtOnePlace)
+{
+    RunResult run = mixedSteadyStateRun(2.0, 0x51);
+    auto est = rigorousEstimate(run);
+    const auto &summary = est.steadyState;
+    ASSERT_EQ(summary.warmup, 2);
+    ASSERT_EQ(summary.noSteadyState, 1);
+
+    auto series = steadyStateSeries(run, summary);
+    ASSERT_EQ(series.size(), run.invocations.size());
+    for (size_t i = 0; i < run.invocations.size(); ++i) {
+        const auto &ss = summary.perInvocation[i];
+        size_t start = steadyStateStart(run, summary, i);
+        if (ss.hasSteadyState())
+            EXPECT_EQ(start, ss.steadyStart);
+        else
+            EXPECT_EQ(start, 0u);  // the whole series, not an empty one
+        std::vector<double> times = run.invocations[i].times();
+        std::vector<double> steady(
+            times.begin() + static_cast<ptrdiff_t>(start), times.end());
+        EXPECT_EQ(series[i], steady);
+        EXPECT_EQ(est.invocationMeans[i], stats::mean(steady));
+    }
+    EXPECT_GT(steadyStateStart(run, summary, 0), 0u);
+    EXPECT_EQ(est.ci.estimate, stats::mean(est.invocationMeans));
+
+    // The variance decomposition reads the same windows.
+    auto vc = varianceDecomposition(run);
+    auto want = stats::decomposeVariance(series);
+    EXPECT_EQ(vc.betweenInvocation, want.betweenInvocation);
+    EXPECT_EQ(vc.withinInvocation, want.withinInvocation);
+    EXPECT_EQ(vc.grandMean, want.grandMean);
+}
+
+TEST(Analysis, CompareRuntimesAppliesTheSpeedupRule)
+{
+    RunResult slow = mixedSteadyStateRun(2.0, 0x52);
+    RunResult twin = mixedSteadyStateRun(2.0, 0x53);
+    RunResult fast = mixedSteadyStateRun(1.0, 0x54);
+    std::vector<const RunResult *> runs = {&slow, &twin, &fast};
+    auto cmp = compareRuntimes(runs);
+    std::vector<RigorousEstimate> est;
+    for (const RunResult *r : runs)
+        est.push_back(rigorousEstimate(*r));
+    for (size_t i = 0; i < runs.size(); ++i) {
+        for (size_t j = 0; j < runs.size(); ++j) {
+            if (i == j)
+                continue;
+            auto want = speedupFromEstimates(est[i], est[j]);
+            const auto &got = cmp.speedup[i][j];
+            EXPECT_EQ(got.ci.estimate, want.ci.estimate);
+            EXPECT_EQ(got.ci.lower, want.ci.lower);
+            EXPECT_EQ(got.ci.upper, want.ci.upper);
+            EXPECT_EQ(got.significant, want.significant);
+            auto direct = rigorousSpeedup(*runs[i], *runs[j]);
+            EXPECT_EQ(direct.ci.lower, want.ci.lower);
+            EXPECT_EQ(direct.ci.upper, want.ci.upper);
+        }
+    }
+    EXPECT_TRUE(cmp.speedup[0][2].significant);
+    EXPECT_FALSE(cmp.speedup[0][1].significant);
+}
+
+// One invocation mean has no spread, so its zero-width interval
+// must not read as a significant difference.
+TEST(Analysis, OneInvocationSpeedupIsNeverSignificant)
+{
+    RunResult slow = mixedSteadyStateRun(3.0, 0x55);
+    RunResult fast = mixedSteadyStateRun(1.0, 0x56);
+    EXPECT_TRUE(rigorousSpeedup(slow, fast).significant);
+
+    RunResult slow1 = slow, fast1 = fast;
+    slow1.invocations.resize(1);
+    fast1.invocations.resize(1);
+    auto one = rigorousSpeedup(slow1, fast1);
+    EXPECT_NEAR(one.ci.estimate, 3.0, 0.1);
+    EXPECT_FALSE(one.significant);
+    EXPECT_FALSE(rigorousSpeedup(slow, fast1).significant);
+    EXPECT_FALSE(rigorousSpeedup(slow1, fast).significant);
+    auto cmp = compareRuntimes({&slow1, &fast1});
+    EXPECT_EQ(cmp.rank[0], cmp.rank[1]);
 }
 
 TEST(Analysis, VarianceDecompositionSeesInjectedBias)

@@ -521,6 +521,46 @@ TEST(ServeJob, RunReportIsDeterministic)
     EXPECT_EQ(first, second);
 }
 
+// One successful invocation has no interval: the report says so
+// instead of printing a zero-width one, and no speedup from it is
+// called significant.
+TEST(ServeJob, OneInvocationPrintsNoIntervalAndNoSignificance)
+{
+    auto execute = [](const JobSpec &spec) {
+        std::string out;
+        JobHooks hooks;
+        hooks.output = [&out](const std::string &chunk) {
+            out += chunk;
+        };
+        EXPECT_EQ(executeJob(spec, hooks), 0) << out;
+        return out;
+    };
+    JobSpec spec;
+    spec.command = "compare";
+    spec.workload = "sieve";
+    spec.invocations = 1;
+    spec.iterations = 3;
+    spec.size = workloads::findWorkload("sieve").testSize;
+    std::string out = execute(spec);
+    EXPECT_NE(out.find("speedup (adaptive over interp): "),
+              std::string::npos) << out;
+    EXPECT_EQ(out.find("significant"), std::string::npos) << out;
+    EXPECT_EQ(out.find("±"), std::string::npos) << out;
+    EXPECT_NE(out.find("(interval needs 2 invocations)\n"),
+              std::string::npos) << out;
+
+    // A run that keeps one of its two invocations.
+    spec.command = "run";
+    spec.invocations = 2;
+    spec.maxRetries = 0;
+    spec.injectSpecs = {"throw:inv=1:n=1"};
+    out = execute(spec);
+    EXPECT_NE(out.find("1 invocation(s) succeeded"), std::string::npos)
+        << out;
+    EXPECT_NE(out.find("ms   (interval needs 2 invocations)\n"),
+              std::string::npos) << out;
+    EXPECT_EQ(out.find("±"), std::string::npos) << out;
+}
 
 /** The bytes a checkpointed suite job leaves behind. */
 struct SuiteBytes
