@@ -124,7 +124,9 @@ comparePair(const RunKey &key, const harness::RunResult &baseRun,
     Rng rng(pairSeed(cfg.seed, key));
     wc.speedup = stats::hierarchicalRatioInterval(
         baseSamples, candSamples, rng, cfg.confidence, cfg.resamples);
-    if (wc.speedup.lower > 1.0)
+    if (!wc.hasInterval())
+        wc.verdict = Verdict::Inconclusive;
+    else if (wc.speedup.lower > 1.0)
         wc.verdict = Verdict::Faster;
     else if (wc.speedup.upper < 1.0)
         wc.verdict = Verdict::Slower;
@@ -267,12 +269,16 @@ renderMarkdown(const CompareReport &report)
           "speedup (CI) | effect | verdict |\n";
     md += "|---|---|---|---|---|---|---|\n";
     for (const auto &wc : report.workloads) {
+        std::string speedup = wc.hasInterval()
+            ? harness::formatCi(wc.speedup, 3)
+            : strprintf("%s (%s)",
+                        fmtDouble(wc.speedup.estimate, 3).c_str(),
+                        harness::kNoInterval);
         md += strprintf(
             "| %s | %s | %s | %s | %s | %s | %s |\n",
             wc.workload.c_str(), wc.tier.c_str(),
             fmtDouble(wc.baselineMs, 4).c_str(),
-            fmtDouble(wc.candidateMs, 4).c_str(),
-            harness::formatCi(wc.speedup, 3).c_str(),
+            fmtDouble(wc.candidateMs, 4).c_str(), speedup.c_str(),
             effectSizeName(wc.effect), verdictName(wc.verdict));
     }
     md += "\n";
@@ -366,7 +372,7 @@ evaluateGate(const CompareReport &report, double thresholdPct)
     // the speedup interval is slower than threshold allows.
     double bound = 1.0 / (1.0 + thresholdPct / 100.0);
     for (const auto &wc : report.workloads) {
-        if (wc.speedup.upper >= bound)
+        if (!wc.hasInterval() || wc.speedup.upper >= bound)
             continue;
         Regression r;
         r.workload = wc.workload;

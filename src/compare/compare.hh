@@ -107,6 +107,17 @@ struct WorkloadComparison
     EffectSize effect = EffectSize::Negligible;
     size_t baselineInvocations = 0;
     size_t candidateInvocations = 0;
+
+    /**
+     * True when both sides hold at least 2 invocations. A bootstrap
+     * inside one invocation sees only iteration jitter, so without
+     * this the verdict is inconclusive and the gate ignores the pair.
+     */
+    bool
+    hasInterval() const
+    {
+        return baselineInvocations >= 2 && candidateInvocations >= 2;
+    }
 };
 
 /** Full outcome of comparing two archive entries. */
@@ -183,7 +194,8 @@ struct GateResult
  * slower than the baseline by more than thresholdPct percent — a
  * point estimate past the threshold with an interval that still
  * reaches back inside it stays a pass (possibly-noise is not a
- * verdict). Inconclusive and faster pairs always pass.
+ * verdict). Inconclusive and faster pairs always pass, and so does a
+ * pair without an interval (WorkloadComparison::hasInterval).
  */
 GateResult evaluateGate(const CompareReport &report,
                         double thresholdPct);

@@ -20,6 +20,12 @@
 namespace rigor {
 namespace harness {
 
+/**
+ * Printed in place of an interval resting on one invocation: its zero
+ * (or within-invocation only) width would read as a precise result.
+ */
+inline constexpr const char *kNoInterval = "interval needs 2 invocations";
+
 /** "12.345 [12.1, 12.6]" with the given decimal places. */
 std::string formatCi(const stats::ConfidenceInterval &ci, int places);
 

@@ -93,15 +93,19 @@ makeConfig(const JobEnv &env, vm::Tier tier)
     return cfg;
 }
 
-/**
- * Printed in place of an interval resting on one invocation mean: its
- * zero width would read as a perfectly precise result.
- */
-const char *const kNoInterval = "interval needs 2 invocations";
+/** rigorousEstimate(run), or nothing when no invocation succeeded. */
+std::optional<harness::RigorousEstimate>
+estimateOf(const harness::RunResult &run)
+{
+    if (run.invocations.empty())
+        return std::nullopt;
+    return harness::rigorousEstimate(run);
+}
 
-/** The estimate block each measured run prints. */
+/** The estimate block each measured run prints; `est` is estimateOf(run). */
 std::string
-renderEstimate(const harness::RunResult &run)
+renderEstimate(const harness::RunResult &run,
+               const std::optional<harness::RigorousEstimate> &est)
 {
     std::string s;
     auto add = [&s](const std::string &chunk) { s += chunk; };
@@ -122,28 +126,27 @@ renderEstimate(const harness::RunResult &run)
             add(strprintf("  QUARANTINED: %s\n",
                           run.quarantineReason.c_str()));
     };
-    if (run.invocations.empty()) {
+    if (!est) {
         add(strprintf("%s / %s: no successful invocations\n",
                       run.workload.c_str(), vm::tierName(run.tier)));
         addFailures();
         return s;
     }
-    auto est = harness::rigorousEstimate(run);
-    const auto &ss = est.steadyState;
+    const auto &ss = est->steadyState;
     add(strprintf("%s / %s  (%zu invocations x %zu iterations, "
                   "size %lld)\n",
                   run.workload.c_str(), vm::tierName(run.tier),
                   run.invocations.size(),
                   run.invocations.front().samples.size(),
                   static_cast<long long>(run.size)));
-    if (est.invocationMeans.size() < 2)
+    if (est->invocationMeans.size() < 2)
         add(strprintf("  time/iter: %s ms   (%s)\n",
-                      fmtDouble(est.ci.estimate, 4).c_str(),
-                      kNoInterval));
+                      fmtDouble(est->ci.estimate, 4).c_str(),
+                      harness::kNoInterval));
     else
         add(strprintf("  time/iter: %s ms   (%s)\n",
-                      harness::formatCi(est.ci, 4).c_str(),
-                      harness::formatCiPercent(est.ci, 4).c_str()));
+                      harness::formatCi(est->ci, 4).c_str(),
+                      harness::formatCiPercent(est->ci, 4).c_str()));
     add(strprintf("  series: %d flat, %d warmup, %d slowdown, "
                   "%d no-steady-state; mean warmup %.1f iters\n",
                   ss.flat, ss.warmup, ss.slowdown, ss.noSteadyState,
@@ -524,7 +527,7 @@ runRunJob(JobEnv &env)
 {
     auto run = harness::runExperiment(env.spec.workload,
                                       makeConfig(env, env.spec.tier));
-    env.out("%s", renderEstimate(run).c_str());
+    env.out("%s", renderEstimate(run, estimateOf(run)).c_str());
     writeRunArtifacts(env, run);
     if (run.interrupted)
         return kExitInterrupted;
@@ -546,7 +549,7 @@ runSequentialJob(JobEnv &env)
     seq.maxInvocations = std::max(spec.invocations, 8);
     auto res = harness::runSequential(spec.workload,
                                       makeConfig(env, spec.tier), seq);
-    env.out("%s", renderEstimate(res.run).c_str());
+    env.out("%s", renderEstimate(res.run, estimateOf(res.run)).c_str());
     if (!res.run.invocations.empty() && !res.run.interrupted) {
         env.out("  sequential: %s after %d invocations "
                 "(target ±%.1f%%)\n",
@@ -570,22 +573,24 @@ runCompareJob(JobEnv &env)
     const std::string &w = env.spec.workload;
     auto interp =
         harness::runExperiment(w, makeConfig(env, vm::Tier::Interp));
+    auto interpEst = estimateOf(interp);
     if (interp.interrupted) {
-        env.out("%s", renderEstimate(interp).c_str());
+        env.out("%s", renderEstimate(interp, interpEst).c_str());
         return kExitInterrupted;
     }
     auto jit =
         harness::runExperiment(w, makeConfig(env, vm::Tier::Adaptive));
-    env.out("%s%s", renderEstimate(interp).c_str(),
-            renderEstimate(jit).c_str());
+    auto jitEst = estimateOf(jit);
+    env.out("%s%s", renderEstimate(interp, interpEst).c_str(),
+            renderEstimate(jit, jitEst).c_str());
     if (jit.interrupted)
         return kExitInterrupted;
-    if (interp.invocations.empty() || jit.invocations.empty())
+    if (!interpEst || !jitEst)
         return kExitFailure;
-    auto s = harness::rigorousSpeedup(interp, jit);
+    auto s = harness::speedupFromEstimates(*interpEst, *jitEst);
     if (interp.invocations.size() < 2 || jit.invocations.size() < 2)
         env.out("speedup (adaptive over interp): %s (%s)\n",
-                fmtDouble(s.ci.estimate, 3).c_str(), kNoInterval);
+                fmtDouble(s.ci.estimate, 3).c_str(), harness::kNoInterval);
     else
         env.out("speedup (adaptive over interp): %s %s\n",
                 harness::formatCi(s.ci, 3).c_str(),

@@ -12,12 +12,14 @@
 
 #include "compare/compare.hh"
 #include "harness/analysis.hh"
+#include "harness/runner.hh"
 #include "stats/ci.hh"
 #include "stats/descriptive.hh"
 #include "stats/hierarchy.hh"
 #include "support/fingerprint.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
+#include "support/str.hh"
 
 namespace rigor {
 namespace compare {
@@ -209,6 +211,7 @@ TEST(Compare, GateRequiresWholeIntervalPastThreshold)
     WorkloadComparison wc;
     wc.workload = "w";
     wc.tier = "interp";
+    wc.baselineInvocations = wc.candidateInvocations = 4;
     // Point estimate past a 5% threshold, but the interval reaches
     // back inside it: possibly-noise, so the gate must pass.
     wc.speedup.estimate = 0.93;
@@ -222,6 +225,32 @@ TEST(Compare, GateRequiresWholeIntervalPastThreshold)
     // ... but a 10% threshold tolerates it again.
     EXPECT_TRUE(evaluateGate(report, 10.0).pass);
     EXPECT_THROW(evaluateGate(report, -1.0), FatalError);
+}
+
+TEST(Compare, SingleInvocationPairsHaveNoVerdict)
+{
+    // Two one-invocation runs that differ only in their seed: the
+    // bootstrap can resample only iterations of one invocation, whose
+    // spread says nothing about the next invocation's bias.
+    harness::RunnerConfig rc;
+    rc.invocations = 1;
+    rc.iterations = 6;
+    auto a = makeEntry(1, "aaaa", {harness::runExperiment("sieve", rc)});
+    rc.seed = 9;
+    auto b = makeEntry(2, "bbbb", {harness::runExperiment("sieve", rc)});
+    CompareConfig cfg;
+    for (auto [base, cand] : {std::pair{&a, &b}, std::pair{&b, &a}}) {
+        auto report = compareEntries(*base, *cand, cfg);
+        ASSERT_EQ(report.workloads.size(), 1u);
+        const auto &wc = report.workloads[0];
+        EXPECT_FALSE(wc.hasInterval());
+        EXPECT_EQ(wc.verdict, Verdict::Inconclusive);
+        EXPECT_NE(renderMarkdown(report).find(strprintf(
+                      "| %s (interval needs 2 invocations) |",
+                      fmtDouble(wc.speedup.estimate, 3).c_str())),
+                  std::string::npos);
+        EXPECT_TRUE(evaluateGate(report, 0.0).pass);
+    }
 }
 
 TEST(Compare, UnpairedRunsAreReportedNotCompared)
