@@ -244,9 +244,10 @@ table4Runtimes(const std::vector<WorkloadRuns> &suite)
                  "adaptive speedup (CI)", "ranks"});
     for (const auto &w : suite) {
         // Tie-aware ranking across all three runtimes.
-        auto cmp = harness::compareRuntimes({&w.runs.at(vm::Tier::Interp),
-                                             &w.runs.at(vm::Tier::Threaded),
-                                             &w.runs.at(vm::Tier::Adaptive)});
+        auto cmp = harness::compareRuntimes(
+            {w.estimates.at(vm::Tier::Interp),
+             w.estimates.at(vm::Tier::Threaded),
+             w.estimates.at(vm::Tier::Adaptive)});
         table.addRow({
             w.name(),
             fmtDouble(w.estimates.at(vm::Tier::Interp).ci.estimate, 4),

@@ -331,8 +331,12 @@ reportToJson(const CompareReport &report)
         j.set("candidate_ms", wc.candidateMs);
         Json s = Json::object();
         s.set("estimate", wc.speedup.estimate);
-        s.set("lower", wc.speedup.lower);
-        s.set("upper", wc.speedup.upper);
+        // A one-invocation side has no interval; the invocation
+        // counts below say why.
+        if (wc.hasInterval()) {
+            s.set("lower", wc.speedup.lower);
+            s.set("upper", wc.speedup.upper);
+        }
         j.set("speedup", std::move(s));
         j.set("verdict", verdictName(wc.verdict));
         j.set("effect", effectSizeName(wc.effect));

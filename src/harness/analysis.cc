@@ -195,17 +195,12 @@ geomeanSpeedup(const std::vector<SpeedupResult> &speedups,
 }
 
 PairwiseComparison
-compareRuntimes(const std::vector<const RunResult *> &runs,
+compareRuntimes(const std::vector<RigorousEstimate> &estimates,
                 double confidence)
 {
-    size_t n = runs.size();
+    size_t n = estimates.size();
     if (n < 2)
         panic("compareRuntimes: need at least 2 runtimes");
-
-    std::vector<RigorousEstimate> estimates;
-    estimates.reserve(n);
-    for (const RunResult *run : runs)
-        estimates.push_back(rigorousEstimate(*run, confidence));
 
     PairwiseComparison out;
     out.speedup.assign(n, std::vector<SpeedupResult>(n));

@@ -166,12 +166,13 @@ struct PairwiseComparison
 };
 
 /**
- * Compare any number of runtimes' runs of the *same* workload:
- * all-pairs speedup intervals plus a tie-aware ranking. This is what
- * a rigorous "which runtime wins" table should be built from.
+ * Compare any number of runtimes' rigorous estimates of the *same*
+ * workload: all-pairs speedup intervals (speedupFromEstimates) plus a
+ * tie-aware ranking. This is what a rigorous "which runtime wins"
+ * table should be built from.
  */
 PairwiseComparison compareRuntimes(
-    const std::vector<const RunResult *> &runs,
+    const std::vector<RigorousEstimate> &estimates,
     double confidence = 0.95);
 
 } // namespace harness

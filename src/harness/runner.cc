@@ -4,8 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <iterator>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -14,7 +16,6 @@
 #include "support/interrupt.hh"
 #include "support/logging.hh"
 #include "vm/compiler.hh"
-#include "vm/metrics_observer.hh"
 
 namespace rigor {
 namespace harness {
@@ -59,6 +60,106 @@ durationBucketsMs()
     return MetricsRegistry::exponentialBuckets(0.001, 4.0, 16);
 }
 
+/** Deopt instants one attempt may emit into a trace. */
+constexpr uint64_t kMaxDeoptInstants = 64;
+
+/**
+ * The one observer on every run: the uarch model, which also emits
+ * the two rare trace instants (`jit_compile`, and `deopt` up to
+ * kMaxDeoptInstants per attempt; guard failures can number in the
+ * millions) after the model has seen the event. Every other event
+ * resolves to PerfModel's own methods.
+ */
+class TracedPerfModel : public uarch::PerfModel
+{
+  public:
+    TracedPerfModel(const uarch::PerfModelConfig &config,
+                    TraceEmitter *trace)
+        : PerfModel(config), trace(trace)
+    {}
+
+    void
+    onJitCompile(uint32_t code_id, uint64_t cost_uops) override
+    {
+        PerfModel::onJitCompile(code_id, cost_uops);
+        if (!trace)
+            return;
+        Json args = Json::object();
+        args.set("code_id", static_cast<int64_t>(code_id));
+        args.set("cost_uops", static_cast<int64_t>(cost_uops));
+        trace->instant("jit_compile", "vm", std::move(args));
+    }
+
+    void
+    onGuardFailure(vm::Op op) override
+    {
+        PerfModel::onGuardFailure(op);
+        if (!trace || deoptInstants == kMaxDeoptInstants)
+            return;
+        ++deoptInstants;
+        Json args = Json::object();
+        args.set("op", vm::opName(op));
+        trace->instant("deopt", "vm", std::move(args));
+    }
+
+  private:
+    TraceEmitter *trace;
+    uint64_t deoptInstants = 0;
+};
+
+/** The `vm.<tier>.*` counters, in the order VmMetricsFold adds them. */
+constexpr const char *kVmCounterNames[] = {
+    "bytecodes",       "uops",         "dispatches",
+    "branches",        "allocations",  "allocated_bytes",
+    "calls",           "jit_compiles", "jit_compile_uops",
+    "guard_failures"};
+
+/**
+ * Adds one attempt's VM totals to `vm.<tier>.*` when it goes out of
+ * scope, so an aborted attempt counts as far as it ran. The totals
+ * are the Interp's own InterpStats, plus the conditional branches the
+ * model saw. The counters are created (zero or not) up front, so the
+ * fold itself only adds. Does nothing without a registry.
+ */
+class VmMetricsFold
+{
+  public:
+    VmMetricsFold(MetricsRegistry *registry, vm::Tier tier,
+                  const vm::Interp &interp,
+                  const uarch::PerfModel &model)
+        : interp(interp), model(model)
+    {
+        if (!registry)
+            return;
+        std::string prefix = strprintf("vm.%s.", vm::tierName(tier));
+        for (size_t i = 0; i < std::size(kVmCounterNames); ++i)
+            counters[i] = &registry->counter(prefix + kVmCounterNames[i]);
+    }
+
+    ~VmMetricsFold()
+    {
+        if (!counters[0])
+            return;
+        const vm::InterpStats &s = interp.stats();
+        const uint64_t totals[std::size(kVmCounterNames)] = {
+            s.bytecodes, s.uops,
+            std::accumulate(s.perOpDispatched.begin(),
+                            s.perOpDispatched.end(), uint64_t{0}),
+            model.snapshot().branches, s.allocations, s.allocatedBytes,
+            s.calls, s.jitCompiles, s.jitCompileUops, s.guardFailures};
+        for (size_t i = 0; i < std::size(kVmCounterNames); ++i)
+            counters[i]->inc(totals[i]);
+    }
+
+    VmMetricsFold(const VmMetricsFold &) = delete;
+    VmMetricsFold &operator=(const VmMetricsFold &) = delete;
+
+  private:
+    const vm::Interp &interp;
+    const uarch::PerfModel &model;
+    Counter *counters[std::size(kVmCounterNames)] = {};
+};
+
 /** Execute one VM invocation attempt of the experiment design. */
 InvocationResult
 runOneInvocation(const vm::Program &prog,
@@ -102,19 +203,9 @@ runOneInvocation(const vm::Program &prog,
         ucfg.dispatchHistoryOps = kThreadedDispatchHistoryOps;
     }
 
-    uarch::PerfModel model(ucfg);
-    // The uarch model is the only observer on plain runs; metrics /
-    // trace runs multiplex a MetricsObserver alongside it.
-    vm::MetricsObserver mobs(
-        metrics, strprintf("vm.%s", vm::tierName(config.tier)), tr);
-    vm::MultiplexObserver mux;
-    vm::ExecutionObserver *observer = &model;
-    if (metrics || tr) {
-        mux.add(&model);
-        mux.add(&mobs);
-        observer = &mux;
-    }
-    vm::Interp interp(prog, icfg, observer);
+    TracedPerfModel model(ucfg, tr);
+    vm::Interp interp(prog, icfg, &model);
+    VmMetricsFold fold(metrics, config.tier, interp, model);
     interp.runModule();
 
     NoiseModel noise(config.noise, inv_seed);

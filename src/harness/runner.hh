@@ -103,9 +103,9 @@ struct RunnerConfig
     /**
      * Optional metrics destination (not owned). When set, the harness
      * records invocation/iteration durations and retry / quarantine /
-     * fault counts under "harness.*", and a MetricsObserver is
-     * multiplexed onto the VM so per-tier execution totals land under
-     * "vm.<tier>.*". See docs/OBSERVABILITY.md for the schema.
+     * fault counts under "harness.*", and adds each attempt's VM
+     * totals (InterpStats) under "vm.<tier>.*". See
+     * docs/OBSERVABILITY.md for the schema.
      */
     MetricsRegistry *metrics = nullptr;
     /**

@@ -4,9 +4,7 @@ namespace rigor {
 namespace vm {
 
 MetricsObserver::MetricsObserver(MetricsRegistry *registry,
-                                 const std::string &tier_prefix,
-                                 TraceEmitter *trace_emitter)
-    : trace(trace_emitter)
+                                 const std::string &tier_prefix)
 {
     if (!registry)
         return;
@@ -72,29 +70,19 @@ MetricsObserver::onCall()
 void
 MetricsObserver::onJitCompile(uint32_t code_id, uint64_t cost_uops)
 {
+    (void)code_id;
     if (jitCompiles) {
         jitCompiles->inc();
         jitCompileUops->inc(cost_uops);
-    }
-    if (trace) {
-        Json args = Json::object();
-        args.set("code_id", static_cast<int64_t>(code_id));
-        args.set("cost_uops", static_cast<int64_t>(cost_uops));
-        trace->instant("jit_compile", "vm", std::move(args));
     }
 }
 
 void
 MetricsObserver::onGuardFailure(Op op)
 {
+    (void)op;
     if (guardFailures)
         guardFailures->inc();
-    if (trace && deoptInstants < maxDeoptInstants) {
-        ++deoptInstants;
-        Json args = Json::object();
-        args.set("op", opName(op));
-        trace->instant("deopt", "vm", std::move(args));
-    }
 }
 
 } // namespace vm

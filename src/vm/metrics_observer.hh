@@ -1,9 +1,11 @@
 /**
  * @file
- * ExecutionObserver that feeds the VM's dynamic-event stream into a
- * MetricsRegistry and (optionally) a TraceEmitter. Multiplexed
- * alongside the uarch model on the ExecutionObserver seam, so runs
- * can be measured and observed at the same time.
+ * ExecutionObserver that streams the VM's dynamic events into
+ * per-tier counters of a MetricsRegistry. It is selfbench's
+ * per-layer probe of the observer fan-out (with MultiplexObserver):
+ * the runner folds its `vm.<tier>.*` metrics from InterpStats instead
+ * and runs the uarch model as its only observer. Both classes go with
+ * ROADMAP item 9.
  *
  * Counters are resolved once at construction (name -> pointer), so
  * the per-event cost is one virtual call plus a few integer adds.
@@ -16,26 +18,22 @@
 #define RIGOR_VM_METRICS_OBSERVER_HH
 
 #include "support/metrics.hh"
-#include "support/trace.hh"
 #include "vm/observer.hh"
 
 namespace rigor {
 namespace vm {
 
-/** Streams VM execution events into metrics and trace instants. */
+/** Streams VM execution events into metrics counters. */
 class MetricsObserver : public ExecutionObserver
 {
   public:
     /**
-     * @param registry destination registry, or nullptr (trace only).
+     * @param registry destination registry, or nullptr (counts
+     *        nothing).
      * @param tier_prefix metric-name prefix, e.g. "vm.interp".
-     * @param trace optional emitter for jit_compile / deopt instant
-     *        events, timestamped at the modelled clock's current
-     *        position (the enclosing iteration's start).
      */
     MetricsObserver(MetricsRegistry *registry,
-                    const std::string &tier_prefix,
-                    TraceEmitter *trace = nullptr);
+                    const std::string &tier_prefix);
 
     void onBytecode(Op op, uint32_t uops) override;
     void onDispatch(Op op) override;
@@ -44,14 +42,6 @@ class MetricsObserver : public ExecutionObserver
     void onCall() override;
     void onJitCompile(uint32_t code_id, uint64_t cost_uops) override;
     void onGuardFailure(Op op) override;
-
-    /**
-     * Guard failures can number in the millions; emitting an instant
-     * event per deopt would dwarf the rest of the trace. Only the
-     * first `n` per observer become instants (the counter still sees
-     * every one); the default keeps traces loadable.
-     */
-    void setMaxDeoptInstants(uint64_t n) { maxDeoptInstants = n; }
 
   private:
     // Cached metric handles (null when no registry was given).
@@ -65,10 +55,6 @@ class MetricsObserver : public ExecutionObserver
     Counter *jitCompiles = nullptr;
     Counter *jitCompileUops = nullptr;
     Counter *guardFailures = nullptr;
-
-    TraceEmitter *trace;
-    uint64_t deoptInstants = 0;
-    uint64_t maxDeoptInstants = 64;
 };
 
 } // namespace vm

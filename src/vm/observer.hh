@@ -137,11 +137,10 @@ class ExecutionObserver
 };
 
 /**
- * Fans the event stream out to several observers (e.g. the uarch
- * model plus a MetricsObserver). The VM takes a single observer
- * pointer; runs that want more than one attach them here and pass the
- * multiplexer. Only constructed when more than one sink is active, so
- * single-observer runs pay no extra virtual hop.
+ * Fans the event stream out to several observers. The VM takes a
+ * single observer pointer, and the runner attaches only the uarch
+ * model; this class remains as selfbench's per-layer probe of the
+ * fan-out cost (with MetricsObserver) and goes with ROADMAP item 9.
  */
 class MultiplexObserver : public ExecutionObserver
 {

@@ -227,17 +227,27 @@ TEST(Compare, GateRequiresWholeIntervalPastThreshold)
     EXPECT_THROW(evaluateGate(report, -1.0), FatalError);
 }
 
-TEST(Compare, SingleInvocationPairsHaveNoVerdict)
+/**
+ * Two one-invocation `run sieve --tier interp --iterations 6` entries
+ * that differ only in their seed (default and 9): the bootstrap can
+ * resample only iterations of one invocation, whose spread says
+ * nothing about the next invocation's bias.
+ */
+std::pair<archive::Entry, archive::Entry>
+singleInvocationEntries()
 {
-    // Two one-invocation runs that differ only in their seed: the
-    // bootstrap can resample only iterations of one invocation, whose
-    // spread says nothing about the next invocation's bias.
     harness::RunnerConfig rc;
     rc.invocations = 1;
     rc.iterations = 6;
     auto a = makeEntry(1, "aaaa", {harness::runExperiment("sieve", rc)});
     rc.seed = 9;
     auto b = makeEntry(2, "bbbb", {harness::runExperiment("sieve", rc)});
+    return {std::move(a), std::move(b)};
+}
+
+TEST(Compare, SingleInvocationPairsHaveNoVerdict)
+{
+    auto [a, b] = singleInvocationEntries();
     CompareConfig cfg;
     for (auto [base, cand] : {std::pair{&a, &b}, std::pair{&b, &a}}) {
         auto report = compareEntries(*base, *cand, cfg);
@@ -251,6 +261,19 @@ TEST(Compare, SingleInvocationPairsHaveNoVerdict)
                   std::string::npos);
         EXPECT_TRUE(evaluateGate(report, 0.0).pass);
     }
+}
+
+TEST(Compare, SingleInvocationPairsHaveNoJsonInterval)
+{
+    auto [a, b] = singleInvocationEntries();
+    Json j = reportToJson(compareEntries(a, b, CompareConfig{}));
+    const Json &wc = j.at("workloads").at(0);
+    EXPECT_TRUE(wc.at("speedup").has("estimate"));
+    EXPECT_FALSE(wc.at("speedup").has("lower"));
+    EXPECT_FALSE(wc.at("speedup").has("upper"));
+    EXPECT_EQ(wc.at("verdict").asString(), "inconclusive");
+    EXPECT_EQ(wc.at("baseline_invocations").asInt(), 1);
+    EXPECT_EQ(wc.at("candidate_invocations").asInt(), 1);
 }
 
 TEST(Compare, UnpairedRunsAreReportedNotCompared)

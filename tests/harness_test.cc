@@ -322,10 +322,10 @@ TEST(Analysis, CompareRuntimesAppliesTheSpeedupRule)
     RunResult twin = mixedSteadyStateRun(2.0, 0x53);
     RunResult fast = mixedSteadyStateRun(1.0, 0x54);
     std::vector<const RunResult *> runs = {&slow, &twin, &fast};
-    auto cmp = compareRuntimes(runs);
     std::vector<RigorousEstimate> est;
     for (const RunResult *r : runs)
         est.push_back(rigorousEstimate(*r));
+    auto cmp = compareRuntimes(est);
     for (size_t i = 0; i < runs.size(); ++i) {
         for (size_t j = 0; j < runs.size(); ++j) {
             if (i == j)
@@ -361,7 +361,8 @@ TEST(Analysis, OneInvocationSpeedupIsNeverSignificant)
     EXPECT_FALSE(one.significant);
     EXPECT_FALSE(rigorousSpeedup(slow, fast1).significant);
     EXPECT_FALSE(rigorousSpeedup(slow1, fast).significant);
-    auto cmp = compareRuntimes({&slow1, &fast1});
+    auto cmp =
+        compareRuntimes({rigorousEstimate(slow1), rigorousEstimate(fast1)});
     EXPECT_EQ(cmp.rank[0], cmp.rank[1]);
 }
 
@@ -508,7 +509,9 @@ TEST(Analysis, CompareRuntimesRanksAndTies)
     fast_cfg.jitThreshold = 50;
     RunResult fast = runExperiment("sieve", fast_cfg);
 
-    auto cmp = compareRuntimes({&slow, &twin, &fast});
+    auto cmp = compareRuntimes({rigorousEstimate(slow),
+                                rigorousEstimate(twin),
+                                rigorousEstimate(fast)});
     ASSERT_EQ(cmp.rank.size(), 3u);
     // The twins tie; the adaptive run ranks first.
     EXPECT_EQ(cmp.rank[0], cmp.rank[1]);
@@ -519,7 +522,8 @@ TEST(Analysis, CompareRuntimesRanksAndTies)
     EXPECT_FALSE(cmp.speedup[0][1].significant);
     // Diagonal is the identity comparison.
     EXPECT_DOUBLE_EQ(cmp.speedup[1][1].ci.estimate, 1.0);
-    EXPECT_THROW(compareRuntimes({&slow}), rigor::PanicError);
+    EXPECT_THROW(compareRuntimes({rigorousEstimate(slow)}),
+                 rigor::PanicError);
 }
 
 

@@ -10,6 +10,7 @@
 #include "harness/fault.hh"
 #include "harness/runner.hh"
 #include "support/json.hh"
+#include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/trace.hh"
 
@@ -95,6 +96,87 @@ TEST(Observability, AdaptiveRunEmitsJitCompileInstants)
     EXPECT_GT(reg.counterValue("vm.adaptive.jit_compiles"), 0u);
     Json doc = tr.toJson();
     EXPECT_GE(countEvents(doc, "i", "jit_compile"), 1u);
+
+    // A deopt-heavy run: each attempt emits its first 64 deopts as
+    // instants, and the counter still sees every guard failure.
+    MetricsRegistry heavy_reg;
+    TraceEmitter heavy_tr;
+    auto heavy = obsConfig(&heavy_reg, &heavy_tr);
+    heavy.tier = vm::Tier::Adaptive;
+    heavy.jitThreshold = 16;
+    heavy.size = workloads::findWorkload("chaos").testSize;
+    RunResult run = runExperiment("chaos", heavy);
+    std::vector<uint64_t> deopts;  // per invocation span
+    Json heavy_doc = heavy_tr.toJson();
+    const Json &evs = heavy_doc.at("traceEvents");
+    for (size_t i = 0; i < evs.size(); ++i) {
+        const Json &e = evs.at(i);
+        const std::string &ph = e.at("ph").asString();
+        const std::string &name = e.at("name").asString();
+        if (ph == "B" && name == "invocation")
+            deopts.push_back(0);
+        else if (ph == "i" && name == "deopt")
+            ++deopts.back();
+    }
+    ASSERT_EQ(deopts.size(), run.invocations.size());
+    uint64_t guard_failures = 0;
+    for (size_t i = 0; i < deopts.size(); ++i) {
+        uint64_t failed = run.invocations[i].vmStats.guardFailures;
+        ASSERT_GT(failed, 64u);
+        EXPECT_EQ(deopts[i], 64u);
+        guard_failures += failed;
+    }
+    EXPECT_EQ(heavy_reg.counterValue("vm.adaptive.guard_failures"),
+              guard_failures);
+}
+
+TEST(Observability, VmCountersAreTheInterpStatsTotals)
+{
+    for (vm::Tier tier :
+         {vm::Tier::Interp, vm::Tier::Adaptive, vm::Tier::Threaded}) {
+        SCOPED_TRACE(vm::tierName(tier));
+        MetricsRegistry reg;
+        auto cfg = obsConfig(&reg, nullptr);
+        cfg.tier = tier;
+        cfg.jitThreshold = 16;  // the adaptive tier compiles early
+        cfg.size = workloads::findWorkload("fasta").testSize;
+        RunResult run = runExperiment("fasta", cfg);
+        ASSERT_EQ(run.invocations.size(), 3u);
+
+        vm::InterpStats sum;
+        uint64_t dispatches = 0, branches = 0;
+        for (const auto &inv : run.invocations) {
+            const vm::InterpStats &s = inv.vmStats;
+            sum.bytecodes += s.bytecodes;
+            sum.uops += s.uops;
+            sum.allocations += s.allocations;
+            sum.allocatedBytes += s.allocatedBytes;
+            sum.calls += s.calls;
+            sum.guardFailures += s.guardFailures;
+            sum.jitCompiles += s.jitCompiles;
+            sum.jitCompileUops += s.jitCompileUops;
+            for (uint64_t n : s.perOpDispatched)
+                dispatches += n;
+            for (const auto &sample : inv.samples)
+                branches += sample.counters.branches;
+        }
+        auto value = [&](const char *name) {
+            return reg.counterValue(
+                strprintf("vm.%s.%s", vm::tierName(tier), name));
+        };
+        EXPECT_EQ(value("bytecodes"), sum.bytecodes);
+        EXPECT_EQ(value("uops"), sum.uops);
+        EXPECT_EQ(value("allocations"), sum.allocations);
+        EXPECT_EQ(value("allocated_bytes"), sum.allocatedBytes);
+        EXPECT_EQ(value("calls"), sum.calls);
+        EXPECT_EQ(value("guard_failures"), sum.guardFailures);
+        EXPECT_EQ(value("jit_compiles"), sum.jitCompiles);
+        EXPECT_EQ(value("jit_compile_uops"), sum.jitCompileUops);
+        EXPECT_EQ(value("dispatches"), dispatches);
+        // The model also counts module set-up, outside every sample.
+        EXPECT_GE(value("branches"), branches);
+        EXPECT_GT(branches, 0u);
+    }
 }
 
 TEST(Observability, IdenticalRunsProduceIdenticalArtifacts)
