@@ -120,6 +120,20 @@ dispatchShare(const BehaviorProfile &p)
                  : 0.0;
 }
 
+/** The fields of a pair that come from its comparison alone. */
+PairExplanation
+measuredPair(const compare::WorkloadComparison &wc)
+{
+    PairExplanation pe;
+    pe.workload = wc.workload;
+    pe.tier = wc.tier;
+    pe.speedup = wc.speedup;
+    pe.hasInterval = wc.hasInterval();
+    pe.verdict = compare::verdictName(wc.verdict);
+    pe.measuredPct = (wc.candidateMs / wc.baselineMs - 1.0) * 100.0;
+    return pe;
+}
+
 /**
  * Attribute one compared pair. `anchor` work is all done against the
  * baseline's steady-state iteration time so the component percentages
@@ -130,14 +144,8 @@ PairExplanation
 explainPair(const compare::WorkloadComparison &wc,
             const BehaviorProfile &a, const BehaviorProfile &b)
 {
-    PairExplanation pe;
-    pe.workload = wc.workload;
-    pe.tier = wc.tier;
+    PairExplanation pe = measuredPair(wc);
     pe.hasProfiles = true;
-    pe.speedup = wc.speedup;
-    pe.verdict = compare::verdictName(wc.verdict);
-    pe.measuredPct =
-        (wc.candidateMs / wc.baselineMs - 1.0) * 100.0;
 
     // Baseline steady-state iteration time, in modelled cycles.
     double anchorCycles = wc.baselineMs * a.model.cyclesPerMs;
@@ -311,14 +319,7 @@ explainEntries(const archive::Entry &baseline,
                 explainPair(wc, ia->second, ib->second));
             continue;
         }
-        PairExplanation pe;
-        pe.workload = wc.workload;
-        pe.tier = wc.tier;
-        pe.hasProfiles = false;
-        pe.speedup = wc.speedup;
-        pe.verdict = compare::verdictName(wc.verdict);
-        pe.measuredPct =
-            (wc.candidateMs / wc.baselineMs - 1.0) * 100.0;
+        PairExplanation pe = measuredPair(wc);
         std::string missing;
         if (!haveA)
             missing += strprintf("baseline entry #%d",
@@ -362,9 +363,13 @@ renderPair(const PairExplanation &pair)
     std::string md;
     md += strprintf("### %s / %s\n\n", pair.workload.c_str(),
                     pair.tier.c_str());
+    std::string speedup = pair.hasInterval
+        ? harness::formatCi(pair.speedup, 3)
+        : strprintf("%s, %s",
+                    fmtDouble(pair.speedup.estimate, 3).c_str(),
+                    harness::kNoInterval);
     md += strprintf("%s (speedup %s, verdict %s)\n\n",
-                    headline(pair).c_str(),
-                    harness::formatCi(pair.speedup, 3).c_str(),
+                    headline(pair).c_str(), speedup.c_str(),
                     pair.verdict.c_str());
     if (!pair.hasProfiles) {
         md += pair.note + "\n";
@@ -485,8 +490,10 @@ reportToJson(const ExplainReport &report)
         j.set("measured_pct", pair.measuredPct);
         Json s = Json::object();
         s.set("estimate", pair.speedup.estimate);
-        s.set("lower", pair.speedup.lower);
-        s.set("upper", pair.speedup.upper);
+        if (pair.hasInterval) {
+            s.set("lower", pair.speedup.lower);
+            s.set("upper", pair.speedup.upper);
+        }
         j.set("speedup", std::move(s));
         j.set("verdict", pair.verdict);
         if (pair.hasProfiles) {

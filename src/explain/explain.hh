@@ -84,6 +84,12 @@ struct PairExplanation
     /** Measured steady-state change, percent (> 0 = slower). */
     double measuredPct = 0.0;
     stats::ConfidenceInterval speedup;
+    /**
+     * False when a side holds one invocation
+     * (compare::WorkloadComparison::hasInterval): `speedup` then has
+     * an estimate but no interval.
+     */
+    bool hasInterval = false;
     std::string verdict;
 
     /** Components ranked by |contribution| (ties: fixed order). */

@@ -16,16 +16,8 @@ PerfModel::PerfModel(PerfModelConfig config)
         branchPred = std::make_unique<GsharePredictor>();
 }
 
-void
-PerfModel::onBytecode(vm::Op op, uint32_t uops)
-{
-    (void)op;
-    ++counters.bytecodes;
-    counters.instructions += uops;
-}
-
-void
-PerfModel::onCodeFetch(uint64_t addr)
+inline void
+PerfModel::fetch(uint64_t addr)
 {
     if (!cfg.modelCaches)
         return;
@@ -36,8 +28,8 @@ PerfModel::onCodeFetch(uint64_t addr)
     }
 }
 
-void
-PerfModel::onDispatch(vm::Op op)
+inline void
+PerfModel::dispatch(vm::Op op)
 {
     ++counters.dispatches;
     if (!cfg.modelBranches)
@@ -48,6 +40,44 @@ PerfModel::onDispatch(vm::Op op)
         ++counters.dispatchMisses;
         penaltyCycles += cfg.dispatchMissPenalty;
     }
+}
+
+inline void
+PerfModel::retire(uint32_t uops)
+{
+    ++counters.bytecodes;
+    counters.instructions += uops;
+}
+
+void
+PerfModel::onStep(vm::Op op, uint32_t uops, uint64_t fetch_addr,
+                  bool dispatched)
+{
+    // The order of ExecutionObserver::onStep, so the double-valued
+    // penalty sum is added up the same way.
+    fetch(fetch_addr);
+    if (dispatched)
+        dispatch(op);
+    retire(uops);
+}
+
+void
+PerfModel::onBytecode(vm::Op op, uint32_t uops)
+{
+    (void)op;
+    retire(uops);
+}
+
+void
+PerfModel::onCodeFetch(uint64_t addr)
+{
+    fetch(addr);
+}
+
+void
+PerfModel::onDispatch(vm::Op op)
+{
+    dispatch(op);
 }
 
 void

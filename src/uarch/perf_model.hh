@@ -57,7 +57,11 @@ class PerfModel : public vm::ExecutionObserver
   public:
     explicit PerfModel(PerfModelConfig config = {});
 
-    // ExecutionObserver interface.
+    // ExecutionObserver interface. onStep does the fetch, dispatch
+    // and retire work inline; the three per-part callbacks do the
+    // same work one part at a time.
+    void onStep(vm::Op op, uint32_t uops, uint64_t fetch_addr,
+                bool dispatched) override;
     void onBytecode(vm::Op op, uint32_t uops) override;
     void onCodeFetch(uint64_t addr) override;
     void onDispatch(vm::Op op) override;
@@ -83,6 +87,10 @@ class PerfModel : public vm::ExecutionObserver
     const CacheHierarchy &dataCaches() const { return caches; }
 
   private:
+    void fetch(uint64_t addr);
+    void dispatch(vm::Op op);
+    void retire(uint32_t uops);
+
     PerfModelConfig cfg;
     CounterSet counters;
     double penaltyCycles = 0.0;

@@ -109,6 +109,107 @@ opIsJump(Op op)
 }
 
 int
+stackEffect(const CodeObject &code, const Instr &ins, bool jump)
+{
+    switch (ins.op) {
+      case Op::Nop:
+      case Op::LoadAttr:
+      case Op::UnaryNeg:
+      case Op::UnaryNot:
+      case Op::Jump:
+      case Op::GetIter:
+      case Op::RotTwo:
+      case Op::RotThree:
+      case Op::MakeClass:
+      case Op::SetupExcept:
+      case Op::PopExcept:
+        return 0;
+      case Op::LoadConst:
+      case Op::LoadFast:
+      case Op::LoadGlobal:
+      case Op::LoadName:
+      case Op::Dup:
+        return 1;
+      case Op::StoreFast:
+      case Op::StoreGlobal:
+      case Op::StoreName:
+      case Op::LoadSubscr:
+      case Op::BinaryAdd:
+      case Op::BinarySub:
+      case Op::BinaryMul:
+      case Op::BinaryDiv:
+      case Op::BinaryFloorDiv:
+      case Op::BinaryMod:
+      case Op::BinaryPow:
+      case Op::BinaryAnd:
+      case Op::BinaryOr:
+      case Op::BinaryXor:
+      case Op::BinaryLshift:
+      case Op::BinaryRshift:
+      case Op::CompareEq:
+      case Op::CompareNe:
+      case Op::CompareLt:
+      case Op::CompareLe:
+      case Op::CompareGt:
+      case Op::CompareGe:
+      case Op::CompareIn:
+      case Op::CompareNotIn:
+      case Op::PopJumpIfFalse:
+      case Op::PopJumpIfTrue:
+      case Op::Return:
+      case Op::Pop:
+      case Op::Raise:
+      case Op::ListAppend:
+        return -1;
+      case Op::StoreAttr:
+      case Op::DeleteSubscr:
+        return -2;
+      case Op::StoreSubscr:
+        return -3;
+      case Op::DupTwo:
+        return 2;
+      case Op::JumpIfFalseOrPop:
+      case Op::JumpIfTrueOrPop:
+        return jump ? 0 : -1;
+      case Op::ForIter:
+        // The next item, or on exhaustion the iterator dropped.
+        return jump ? -1 : 1;
+      case Op::Call:
+        return -ins.arg;  // callee and args -> result
+      case Op::BuildList:
+      case Op::BuildTuple:
+      case Op::BuildSlice:
+        return 1 - ins.arg;
+      case Op::BuildDict:
+        return 1 - 2 * ins.arg;
+      case Op::UnpackSequence:
+        return ins.arg - 1;
+      case Op::MakeFunction:
+        return 1 - code.children[static_cast<size_t>(ins.arg)]
+                       ->numDefaults;
+      case Op::AddIntInt:
+      case Op::SubIntInt:
+      case Op::MulIntInt:
+      case Op::AddFloatFloat:
+      case Op::SubFloatFloat:
+      case Op::MulFloatFloat:
+      case Op::CompareLtIntInt:
+      case Op::CompareLeIntInt:
+      case Op::CompareGtIntInt:
+      case Op::CompareGeIntInt:
+      case Op::CompareEqIntInt:
+      case Op::ForIterRange:
+      case Op::LoadAttrCached:
+      case Op::LoadGlobalCached:
+      case Op::LoadFastLoadFast:
+      case Op::LoadFastBinaryAdd:
+      case Op::NumOpcodes:
+        break;
+    }
+    panic("stackEffect: %s is not a compiled opcode", opName(ins.op));
+}
+
+int
 CodeObject::addConstant(const Value &v)
 {
     for (size_t i = 0; i < constants.size(); ++i) {

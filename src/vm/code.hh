@@ -157,6 +157,12 @@ class CodeObject
     int numDefaults = 0;
     /** Total local-variable slots (params first). */
     int numLocals = 0;
+    /**
+     * Deepest operand stack any path through `instrs` reaches, as the
+     * compiler counts it. A frame's window is numLocals + maxStack
+     * value slots.
+     */
+    int maxStack = 0;
     /** True for class-body code (uses LoadName/StoreName). */
     bool isClassBody = false;
 
@@ -190,6 +196,14 @@ class CodeObject
     /** Count instructions recursively (for suite characterization). */
     size_t totalInstrs() const;
 };
+
+/**
+ * Operand-stack change of a compiler-emitted instruction of `code`:
+ * along its fall-through edge, or with `jump`, along its jump edge
+ * (a SetupExcept's jump edge is its handler's entry). Quickened
+ * opcodes never appear in compiled code and are rejected.
+ */
+int stackEffect(const CodeObject &code, const Instr &ins, bool jump);
 
 /**
  * A compiled MiniPy program: the module code object plus bookkeeping

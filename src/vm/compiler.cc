@@ -1,5 +1,6 @@
 #include "vm/compiler.hh"
 
+#include <algorithm>
 #include <set>
 #include <unordered_map>
 
@@ -148,10 +149,22 @@ class FunctionCompiler
   private:
     // --- Emission helpers ---------------------------------------------
 
+    /**
+     * Append an instruction and track the operand-stack depth along
+     * the fall-through path, keeping code->maxStack at its peak. The
+     * code is emitted in structured order, so the running depth is
+     * the depth of every path into the next instruction, except where
+     * compileFor and `break` correct it.
+     */
     size_t
     emit(Op op, int32_t arg = 0)
     {
         code->instrs.push_back({op, arg});
+        depth += stackEffect(*code, code->instrs.back(), false);
+        if (depth < 0)
+            panic("compiler: operand stack underflow in %s",
+                  code->name.c_str());
+        code->maxStack = std::max(code->maxStack, depth);
         return code->instrs.size() - 1;
     }
 
@@ -287,9 +300,14 @@ class FunctionCompiler
                       "supported",
                       s.line);
             // For-loops keep their iterator on the stack; discard it.
-            if (loops.back().isForLoop)
+            // Only the break path loses it: the code after the jump
+            // is still at the loop body's depth.
+            bool for_loop = loops.back().isForLoop;
+            if (for_loop)
                 emit(Op::Pop);
             size_t j = emitJump(Op::Jump);
+            if (for_loop)
+                ++depth;
             loops.back().breakJumps.push_back(j);
             break;
           }
@@ -509,6 +527,7 @@ class FunctionCompiler
             patchJump(j);
         loops.pop_back();
         // The exhausted ForIter pops the iterator itself.
+        --depth;
     }
 
     void
@@ -694,6 +713,7 @@ class FunctionCompiler
             emit(Op::ListAppend, 2);
             emit(Op::Jump, loop_start);
             patchJump(exit_jump);
+            --depth;  // the exhausted ForIter dropped the iterator
             break;
           }
         }
@@ -714,6 +734,8 @@ class FunctionCompiler
     std::set<std::string> globalDecls;
     std::vector<LoopInfo> loops;
     int tryDepth = 0;
+    /** Operand-stack depth after the last emitted instruction. */
+    int depth = 0;
 };
 
 } // namespace

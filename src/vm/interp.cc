@@ -1,8 +1,10 @@
 #include "vm/interp.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <new>
 
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -166,7 +168,7 @@ opBaseUops(Op op)
 
 Interp::Interp(const Program &program, InterpConfig config,
                ExecutionObserver *observer)
-    : prog(program), cfg(config), obs(observer)
+    : prog(program), cfg(config), obs(observer), codeRt(program.codeCount)
 {
     // ASLR model: the simulated heap starts at a seed-dependent offset
     // so physical cache-set mappings differ across invocations.
@@ -209,8 +211,27 @@ Interp::printLine(const std::string &line)
     }
 }
 
-void
-Interp::accountBytecode(Op op, uint32_t uops, bool dispatched)
+namespace {
+
+/**
+ * Instruction-fetch model: interpreter handlers live in a small
+ * shared region (one slot per opcode, ~16 KiB total -> L1I friendly);
+ * compiled code occupies a per-(code, pc) region (~32 B of machine
+ * code per bytecode -> much larger footprint).
+ */
+inline uint64_t
+fetchAddress(bool dispatched, Op op, uint32_t code_id, size_t pc)
+{
+    return dispatched
+        ? 0x400000ULL + static_cast<uint64_t>(op) * 192
+        : 0x100000000ULL + static_cast<uint64_t>(code_id) * 0x40000 +
+            static_cast<uint64_t>(pc) * 32;
+}
+
+} // namespace
+
+uint32_t
+Interp::countBytecode(Op op, uint32_t uops, bool dispatched)
 {
     if (dispatched)
         uops += cfg.dispatchUops;
@@ -220,11 +241,17 @@ Interp::accountBytecode(Op op, uint32_t uops, bool dispatched)
     stats_.perOpUops[static_cast<size_t>(op)] += uops;
     if (dispatched)
         ++stats_.perOpDispatched[static_cast<size_t>(op)];
-    if (obs) {
-        if (dispatched)
-            obs->onDispatch(op);
-        obs->onBytecode(op, uops);
-    }
+    return uops;
+}
+
+void
+Interp::accountBytecode(Op op, uint32_t uops, bool dispatched,
+                        uint32_t code_id, size_t pc)
+{
+    uops = countBytecode(op, uops, dispatched);
+    if (obs)
+        obs->onStep(op, uops, fetchAddress(dispatched, op, code_id, pc),
+                    dispatched);
 }
 
 void
@@ -244,22 +271,10 @@ Interp::emitMem(uint64_t addr, uint32_t size, bool write)
         obs->onMemAccess(addr, size, write);
 }
 
-Interp::CodeRuntime &
-Interp::runtimeFor(const CodeObject *code)
-{
-    auto it = codeRt.find(code->codeId);
-    if (it != codeRt.end())
-        return *it->second;
-    auto rt = std::make_unique<CodeRuntime>();
-    CodeRuntime &ref = *rt;
-    codeRt.emplace(code->codeId, std::move(rt));
-    return ref;
-}
-
 void
 Interp::runModule()
 {
-    execCode(prog.module.get(), {}, nullptr);
+    execCode(prog.module.get(), nullptr);
 }
 
 bool
@@ -285,6 +300,13 @@ Interp::callGlobal(const std::string &name, std::vector<Value> args)
 Value
 Interp::callValue(const Value &callee, std::vector<Value> args)
 {
+    return call(callee, nullptr, args.data(), args.size());
+}
+
+Value
+Interp::call(const Value &callee, const Value *self, Value *argv,
+             size_t nargs)
+{
     ++stats_.calls;
     if (obs)
         obs->onCall();
@@ -302,32 +324,33 @@ Interp::callValue(const Value &callee, std::vector<Value> args)
         throw VmError("'" + callee.typeName() + "' is not callable");
 
     Object *o = callee.asObj();
+    // Only a function or a builtin takes the leading argument
+    // directly; any other callee gets it as its first positional
+    // argument, through a vector (no workload takes this path).
+    std::vector<Value> spilled;
+    if (self && o->kind() != ObjKind::Function &&
+        o->kind() != ObjKind::Builtin) {
+        spilled.reserve(nargs + 1);
+        spilled.push_back(*self);
+        for (size_t i = 0; i < nargs; ++i)
+            spilled.push_back(std::move(argv[i]));
+        self = nullptr;
+        argv = spilled.data();
+        nargs = spilled.size();
+    }
+
     switch (o->kind()) {
-      case ObjKind::Function: {
-        auto *fn = static_cast<FunctionObj *>(o);
-        const CodeObject *code = fn->code;
-        int given = static_cast<int>(args.size());
-        int required = code->numParams - code->numDefaults;
-        if (given < required || given > code->numParams) {
-            throw VmError(fn->name + "() takes " +
-                          std::to_string(code->numParams) +
-                          " arguments, got " + std::to_string(given));
-        }
-        std::vector<Value> locals(
-            static_cast<size_t>(code->numLocals));
-        for (int i = 0; i < given; ++i)
-            locals[static_cast<size_t>(i)] =
-                std::move(args[static_cast<size_t>(i)]);
-        // Fill missing trailing params from defaults.
-        for (int i = given; i < code->numParams; ++i) {
-            int d = i - required;
-            locals[static_cast<size_t>(i)] =
-                fn->defaults[static_cast<size_t>(d)];
-        }
-        return execCode(code, std::move(locals), nullptr);
-      }
+      case ObjKind::Function:
+        return callFunction(*static_cast<FunctionObj *>(o), self, argv,
+                            nargs);
       case ObjKind::Builtin: {
         auto *fn = static_cast<BuiltinObj *>(o);
+        std::vector<Value> args;
+        args.reserve(nargs + (self ? 1 : 0));
+        if (self)
+            args.push_back(*self);
+        for (size_t i = 0; i < nargs; ++i)
+            args.push_back(std::move(argv[i]));
         int given = static_cast<int>(args.size());
         if (given < fn->minArgs ||
             (fn->maxArgs >= 0 && given > fn->maxArgs)) {
@@ -338,29 +361,21 @@ Interp::callValue(const Value &callee, std::vector<Value> args)
       }
       case ObjKind::BoundMethod: {
         auto *bm = static_cast<BoundMethodObj *>(o);
-        std::vector<Value> with_self;
-        with_self.reserve(args.size() + 1);
-        with_self.push_back(bm->receiver);
-        for (auto &a : args)
-            with_self.push_back(std::move(a));
-        return callValue(bm->callee, std::move(with_self));
+        return call(bm->callee, &bm->receiver, argv, nargs);
       }
       case ObjKind::Class: {
         auto *cls = static_cast<ClassObj *>(o);
         InstanceObj *inst = alloc<InstanceObj>(cls, cfg.hashSeed);
-        Value self = Value::makeObj(inst);
+        Value instance = Value::makeObj(inst);
         Value init_name = makeStr("__init__");
         if (const Value *init = cls->lookup(init_name)) {
-            std::vector<Value> with_self;
-            with_self.reserve(args.size() + 1);
-            with_self.push_back(self);
-            for (auto &a : args)
-                with_self.push_back(std::move(a));
-            callValue(*init, std::move(with_self));
-        } else if (!args.empty()) {
+            // A copy: __init__ may rebind the class's attributes.
+            Value init_fn = *init;
+            call(init_fn, &instance, argv, nargs);
+        } else if (nargs != 0) {
             throw VmError(cls->name + "() takes no arguments");
         }
-        return self;
+        return instance;
       }
       default:
         throw VmError("'" + callee.typeName() + "' is not callable");
@@ -368,15 +383,68 @@ Interp::callValue(const Value &callee, std::vector<Value> args)
 }
 
 Value
-Interp::execCode(const CodeObject *code, std::vector<Value> locals,
-                 DictObj *name_space)
+Interp::callFunction(const FunctionObj &fn, const Value *self,
+                     Value *argv, size_t nargs)
 {
-    if (++callDepth > cfg.maxCallDepth) {
-        --callDepth;
-        throw VmError("maximum recursion depth exceeded");
+    const CodeObject *code = fn.code;
+    int given = static_cast<int>(nargs) + (self ? 1 : 0);
+    int required = code->numParams - code->numDefaults;
+    if (given < required || given > code->numParams) {
+        throw VmError(fn.name + "() takes " +
+                      std::to_string(code->numParams) +
+                      " arguments, got " + std::to_string(given));
     }
-
     Frame frame;
+    pushFrame(frame, code, nullptr);
+    Value *slot = frame.locals;
+    if (self)
+        *slot++ = *self;
+    for (size_t i = 0; i < nargs; ++i)
+        *slot++ = std::move(argv[i]);
+    // Fill missing trailing params from defaults.
+    for (int i = given; i < code->numParams; ++i)
+        *slot++ = fn.defaults[static_cast<size_t>(i - required)];
+    return runFrame(frame);
+}
+
+Value
+Interp::execCode(const CodeObject *code, DictObj *name_space)
+{
+    Frame frame;
+    pushFrame(frame, code, name_space);
+    return runFrame(frame);
+}
+
+Value *
+Interp::FrameArena::acquire(size_t n, Mark &mark)
+{
+    mark = {used, top, limit};
+    if (static_cast<size_t>(limit - top) < n) {
+        // No live window is past the current chunk, so the next one
+        // can be replaced when it is too small.
+        if (used == chunks.size())
+            chunks.emplace_back();
+        Chunk &c = chunks[used++];
+        if (c.size < n) {
+            c.size = std::max(n, kArenaChunkSlots);
+            c.slots = std::make_unique<Value[]>(c.size);
+        }
+        top = c.slots.get();
+        limit = top + c.size;
+    }
+    Value *window = top;
+    top += n;
+    return window;
+}
+
+void
+Interp::pushFrame(Frame &frame, const CodeObject *code,
+                  DictObj *name_space)
+{
+    if (callDepth >= cfg.maxCallDepth)
+        throw VmError("maximum recursion depth exceeded");
+    ++callDepth;
+
     frame.code = code;
     frame.runtime = &runtimeFor(code);
     // Function entries count toward hotness so loop-free but
@@ -394,20 +462,37 @@ Interp::execCode(const CodeObject *code, std::vector<Value> locals,
         frame.runtime->compiled || frame.runtime->threaded
             ? &frame.runtime->quickened
             : &code->instrs;
-    frame.locals = std::move(locals);
     frame.nameSpace = name_space;
     frame.localsBase = simBrk;
-    simBrk += (frame.locals.size() + 4) * 8;
-    frame.stack.reserve(16);
+    simBrk += (static_cast<uint64_t>(code->numLocals) + 4) * 8;
+    frame.locals = arena.acquire(
+        static_cast<size_t>(code->numLocals + code->maxStack),
+        frame.mark);
+    frame.sp = frame.locals + code->numLocals;
+    frame.handlerBase = handlers.size();
+}
 
+Value
+Interp::runFrame(Frame &frame)
+{
     try {
         Value result = evalFrame(frame);
-        --callDepth;
+        popFrame(frame);
         return result;
     } catch (...) {
-        --callDepth;
+        popFrame(frame);
         throw;
     }
+}
+
+void
+Interp::popFrame(Frame &frame)
+{
+    for (Value *slot = frame.locals; slot != frame.sp; ++slot)
+        *slot = Value();
+    arena.release(frame.mark);
+    handlers.resize(frame.handlerBase);
+    --callDepth;
 }
 
 namespace {
@@ -1212,19 +1297,24 @@ Value
 Interp::evalFrame(Frame &frame)
 {
     const CodeObject *code = frame.code;
-    std::vector<Value> &stack = frame.stack;
-    std::vector<Value> &locals = frame.locals;
+    Value *const locals = frame.locals;
+    // The operand stack grows up from the end of the locals. Every
+    // slot at or above sp holds None, so a push constructs in place
+    // and a pop moves out; the compiler's maxStack bounds the depth.
+    Value *sp = frame.sp;
+    [[maybe_unused]] Value *const stack_limit =
+        locals + code->numLocals + code->maxStack;
 
     // Forwarding, not by-value: a pushed lvalue is copied straight
     // into its slot, with no temporary to move from and destroy.
-    auto push = [&stack](auto &&v) {
-        stack.push_back(std::forward<decltype(v)>(v));
+    auto push = [&](auto &&v) {
+        assert(sp < stack_limit && sp->isNone());
+        ::new (static_cast<void *>(sp)) Value(
+            std::forward<decltype(v)>(v));
+        ++sp;
     };
-    auto pop = [&stack]() {
-        Value v = std::move(stack.back());
-        stack.pop_back();
-        return v;
-    };
+    auto pop = [&sp]() -> Value { return std::move(*--sp); };
+    auto drop = [&sp]() { *--sp = Value(); };
 
 #if RIGOR_DIRECT_THREADED
     // Handler-label address table, indexed by Op. Order must match the
@@ -1325,20 +1415,11 @@ Interp::evalFrame(Frame &frame)
         Op op = ins.op;
         uint32_t uops = opBaseUops(op);
         bool dispatched = !compiled;
-        if (obs) {
+        // Set once the observer has the bytecode's step; a bytecode
+        // that throws before that delivers its fetch on the way out.
+        bool accounted = false;
+        if (obs)
             curSite = (static_cast<uint64_t>(code->codeId) << 20) | pc;
-            // Instruction-fetch model: interpreter handlers live in
-            // a small shared region (one slot per opcode, ~16 KiB
-            // total -> L1I friendly); compiled code occupies a
-            // per-(code, pc) region (~32 B of machine code per
-            // bytecode -> much larger footprint).
-            uint64_t fetch_addr = compiled
-                ? 0x100000000ULL +
-                    static_cast<uint64_t>(code->codeId) * 0x40000 +
-                    static_cast<uint64_t>(pc) * 32
-                : 0x400000ULL + static_cast<uint64_t>(op) * 192;
-            obs->onCodeFetch(fetch_addr);
-        }
         // Compiled code unboxes and inlines beyond quickening: scale
         // down the cost of opcodes that stayed generic.
         if (compiled && op < Op::FirstQuickened) {
@@ -1690,22 +1771,22 @@ Interp::evalFrame(Frame &frame)
           }
 
           VM_CASE(JumpIfFalseOrPop) {
-            bool cond = stack.back().truthy();
+            bool cond = sp[-1].truthy();
             emitBranch(frame, pc, !cond);
             if (!cond)
                 frame.pc = static_cast<size_t>(ins.arg);
             else
-                stack.pop_back();
+                drop();
             VM_BREAK;
           }
 
           VM_CASE(JumpIfTrueOrPop) {
-            bool cond = stack.back().truthy();
+            bool cond = sp[-1].truthy();
             emitBranch(frame, pc, cond);
             if (cond)
                 frame.pc = static_cast<size_t>(ins.arg);
             else
-                stack.pop_back();
+                drop();
             VM_BREAK;
           }
 
@@ -1717,8 +1798,7 @@ Interp::evalFrame(Frame &frame)
 
           VM_CASE(ForIter)
           VM_CASE(ForIterRange) {
-            auto *iter =
-                static_cast<IteratorObj *>(stack.back().asObj());
+            auto *iter = static_cast<IteratorObj *>(sp[-1].asObj());
             if (op == Op::ForIterRange &&
                 iter->source != IteratorObj::Source::Range) {
                 ++stats_.guardFailures;
@@ -1738,7 +1818,7 @@ Interp::evalFrame(Frame &frame)
             if (has) {
                 push(std::move(next));
             } else {
-                stack.pop_back();  // drop the iterator
+                drop();  // the iterator
                 frame.pc = static_cast<size_t>(ins.arg);
                 // Loop exit is also a back-edge accounting point.
                 if (adaptive && !compiled) {
@@ -1756,47 +1836,50 @@ Interp::evalFrame(Frame &frame)
 
           // --- Calls --------------------------------------------------
           VM_CASE(Call) {
-            size_t nargs = static_cast<size_t>(ins.arg);
-            std::vector<Value> args;
-            args.reserve(nargs);
-            for (size_t i = stack.size() - nargs; i < stack.size();
-                 ++i)
-                args.push_back(std::move(stack[i]));
-            stack.resize(stack.size() - nargs);
-            Value callee = pop();
-            accountBytecode(op, uops, dispatched);
-            push(callValue(callee, std::move(args)));
-            continue;  // already accounted
+            // Callee, then the arguments. call() moves the arguments
+            // into the callee's window; sp stays above them until it
+            // returns, so an unwind resets whatever it left.
+            Value *argv = sp - ins.arg;
+            Value callee = std::move(argv[-1]);
+            accountBytecode(op, uops, dispatched, code->codeId, pc);
+            accounted = true;
+            Value result =
+                call(callee, nullptr, argv, static_cast<size_t>(ins.arg));
+            sp = argv - 1;
+            push(std::move(result));
+            continue;
           }
 
           VM_CASE(Return) {
             Value result = pop();
-            accountBytecode(op, uops, dispatched);
+            accountBytecode(op, uops, dispatched, code->codeId, pc);
+            frame.sp = sp;
             return result;
           }
 
           // --- Stack shuffling ----------------------------------------
           VM_CASE(Pop)
-            pop();
+            drop();
             VM_BREAK;
           VM_CASE(Dup)
-            push(stack.back());
+            push(sp[-1]);
             VM_BREAK;
           VM_CASE(DupTwo) {
-            Value b = stack[stack.size() - 1];
-            Value a = stack[stack.size() - 2];
+            Value b = sp[-1];
+            Value a = sp[-2];
             push(std::move(a));
             push(std::move(b));
             VM_BREAK;
           }
           VM_CASE(RotTwo)
-            std::swap(stack[stack.size() - 1],
-                      stack[stack.size() - 2]);
+            std::swap(sp[-1], sp[-2]);
             VM_BREAK;
           VM_CASE(RotThree) {
-            Value top = std::move(stack.back());
-            stack.pop_back();
-            stack.insert(stack.end() - 2, std::move(top));
+            // [a, b, top] -> [top, a, b]
+            Value top = std::move(sp[-1]);
+            sp[-1] = std::move(sp[-2]);
+            sp[-2] = std::move(sp[-3]);
+            sp[-3] = std::move(top);
             VM_BREAK;
           }
 
@@ -1805,9 +1888,9 @@ Interp::evalFrame(Frame &frame)
             size_t n = static_cast<size_t>(ins.arg);
             ListObj *l = alloc<ListObj>();
             l->items.reserve(n);
-            for (size_t i = stack.size() - n; i < stack.size(); ++i)
-                l->items.push_back(std::move(stack[i]));
-            stack.resize(stack.size() - n);
+            sp -= n;
+            for (size_t i = 0; i < n; ++i)
+                l->items.push_back(std::move(sp[i]));
             push(Value::makeObj(l));
             VM_BREAK;
           }
@@ -1815,19 +1898,20 @@ Interp::evalFrame(Frame &frame)
             size_t n = static_cast<size_t>(ins.arg);
             TupleObj *t = alloc<TupleObj>();
             t->items.reserve(n);
-            for (size_t i = stack.size() - n; i < stack.size(); ++i)
-                t->items.push_back(std::move(stack[i]));
-            stack.resize(stack.size() - n);
+            sp -= n;
+            for (size_t i = 0; i < n; ++i)
+                t->items.push_back(std::move(sp[i]));
             push(Value::makeObj(t));
             VM_BREAK;
           }
           VM_CASE(BuildDict) {
             size_t n = static_cast<size_t>(ins.arg);
             DictObj *d = alloc<DictObj>(cfg.hashSeed);
-            size_t base = stack.size() - 2 * n;
+            Value *base = sp - 2 * n;
             for (size_t i = 0; i < n; ++i)
-                d->set(stack[base + 2 * i], stack[base + 2 * i + 1]);
-            stack.resize(base);
+                d->set(base[2 * i], base[2 * i + 1]);
+            while (sp != base)
+                drop();
             push(Value::makeObj(d));
             VM_BREAK;
           }
@@ -1891,33 +1975,33 @@ Interp::evalFrame(Frame &frame)
             }
             Value cls_val = Value::makeObj(cls);
             // Execute the class body into the class namespace.
-            accountBytecode(op, uops, dispatched);
-            execCode(child, {}, cls->attrs);
+            accountBytecode(op, uops, dispatched, code->codeId, pc);
+            accounted = true;
+            execCode(child, cls->attrs);
             push(std::move(cls_val));
-            continue;  // already accounted
+            continue;
           }
 
           VM_CASE(SetupExcept)
-            frame.handlers.push_back(
-                {static_cast<size_t>(ins.arg), stack.size()});
+            handlers.push_back({static_cast<size_t>(ins.arg), sp});
             VM_BREAK;
 
           VM_CASE(PopExcept)
-            if (frame.handlers.empty())
+            if (handlers.size() == frame.handlerBase)
                 panic("POP_EXCEPT with no active handler");
-            frame.handlers.pop_back();
+            handlers.pop_back();
             VM_BREAK;
 
           VM_CASE(Raise) {
             Value exc = pop();
-            accountBytecode(op, uops, dispatched);
+            accountBytecode(op, uops, dispatched, code->codeId, pc);
+            accounted = true;
             throw VmError(exc.str());
           }
 
           VM_CASE(ListAppend) {
             Value v = pop();
-            Value &holder =
-                stack[stack.size() - static_cast<size_t>(ins.arg)];
+            Value &holder = sp[-ins.arg];
             if (!holder.isObjKind(ObjKind::List))
                 panic("LIST_APPEND: no list at depth %d", ins.arg);
             auto *l = static_cast<ListObj *>(holder.asObj());
@@ -1967,19 +2051,35 @@ Interp::evalFrame(Frame &frame)
             panic("invalid opcode %d", static_cast<int>(op));
         VM_SWITCH_END
 
-        accountBytecode(op, uops, dispatched);
+        accountBytecode(op, uops, dispatched, code->codeId, pc);
         } catch (VmError &) {
+            if (obs && !accounted)
+                obs->onCodeFetch(
+                    fetchAddress(dispatched, op, code->codeId, pc));
             // Unwind to the innermost handler in *this* frame, if
             // any. Exceptions from nested calls surface here at the
             // Call instruction that made them.
-            if (frame.handlers.empty())
+            if (handlers.size() == frame.handlerBase) {
+                frame.sp = sp;
                 throw;
-            ExceptHandler handler = frame.handlers.back();
-            frame.handlers.pop_back();
-            if (stack.size() > handler.stackDepth)
-                stack.resize(handler.stackDepth);
+            }
+            ExceptHandler handler = handlers.back();
+            handlers.pop_back();
+            while (sp != handler.sp)
+                drop();
             frame.pc = handler.handlerPc;
-            accountBytecode(Op::Raise, opBaseUops(Op::Raise), false);
+            // The handler entry is a bytecode with no fetch or
+            // dispatch of its own.
+            uint32_t raise_uops =
+                countBytecode(Op::Raise, opBaseUops(Op::Raise), false);
+            if (obs)
+                obs->onBytecode(Op::Raise, raise_uops);
+        } catch (...) {
+            if (obs && !accounted)
+                obs->onCodeFetch(
+                    fetchAddress(dispatched, op, code->codeId, pc));
+            frame.sp = sp;
+            throw;
         }
     }
 }

@@ -16,7 +16,6 @@
 #include <array>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "vm/code.hh"
@@ -145,6 +144,12 @@ class Interp
     /** Call an arbitrary callable value. */
     Value callValue(const Value &callee, std::vector<Value> args);
 
+    /**
+     * Value slots in one chunk of the frame arena. A frame whose
+     * window is larger gets a chunk of its own size.
+     */
+    static constexpr size_t kArenaChunkSlots = 4096;
+
     /** The module globals dict. */
     DictObj &globals() { return *globalsDict; }
 
@@ -201,30 +206,95 @@ class Interp
   private:
     friend void installBuiltins(Interp &interp, DictObj &builtins);
 
-    /** An installed try/except handler within a frame. */
+    /**
+     * LIFO storage for frame windows: chunks of Value slots that live
+     * as long as the Interp. A window never spans two chunks. Every
+     * slot outside the live [locals, sp) range of a frame holds None.
+     */
+    class FrameArena
+    {
+      public:
+        /** Arena state before an acquire; release() returns to it. */
+        struct Mark
+        {
+            size_t used = 0;
+            Value *top = nullptr;
+            Value *limit = nullptr;
+        };
+
+        /** Reserve `n` contiguous slots; `mark` records the state. */
+        Value *acquire(size_t n, Mark &mark);
+        /** Hand back every slot acquired since `mark`. */
+        void
+        release(const Mark &mark)
+        {
+            used = mark.used;
+            top = mark.top;
+            limit = mark.limit;
+        }
+
+      private:
+        struct Chunk
+        {
+            std::unique_ptr<Value[]> slots;
+            size_t size = 0;
+        };
+        std::vector<Chunk> chunks;
+        size_t used = 0;          ///< chunks in use; top is in the last
+        Value *top = nullptr;     ///< first free slot
+        Value *limit = nullptr;   ///< end of the chunk top is in
+    };
+
+    /** An installed try/except handler. */
     struct ExceptHandler
     {
         size_t handlerPc = 0;
-        size_t stackDepth = 0;  ///< value-stack depth to restore
+        Value *sp = nullptr;  ///< operand-stack top to restore
     };
 
-    /** One activation record. */
+    /** One activation record: a window of the frame arena. */
     struct Frame
     {
         const CodeObject *code = nullptr;
         const std::vector<Instr> *instrs = nullptr;
         CodeRuntime *runtime = nullptr;
-        std::vector<Value> locals;
-        std::vector<Value> stack;
-        std::vector<ExceptHandler> handlers;
+        /** Window base: numLocals local slots, then the operand stack. */
+        Value *locals = nullptr;
+        /** First free operand slot (current whenever evalFrame exits). */
+        Value *sp = nullptr;
         DictObj *nameSpace = nullptr;  ///< class-body namespace (or null)
         size_t pc = 0;
+        /** handlers.size() on entry: the frame's own handlers follow. */
+        size_t handlerBase = 0;
         uint64_t localsBase = 0;  ///< simulated address of locals area
+        FrameArena::Mark mark;
     };
 
-    /** Execute a code object to completion; returns its return value. */
-    Value execCode(const CodeObject *code, std::vector<Value> locals,
+    /**
+     * Call `callee` with an optional leading argument `self` (a bound
+     * receiver or a new instance) and the `nargs` values at `argv`,
+     * which usually sit on the caller's operand stack. A call that
+     * returns has moved every argument out, leaving None.
+     */
+    Value call(const Value &callee, const Value *self, Value *argv,
+               size_t nargs);
+    /** A function call: the arguments go straight into its window. */
+    Value callFunction(const FunctionObj &fn, const Value *self,
+                       Value *argv, size_t nargs);
+
+    /** Execute a module or class body to completion. */
+    Value execCode(const CodeObject *code, DictObj *name_space);
+    /**
+     * Enter `code`: check the call depth, tier it up, and give the
+     * frame a window of numLocals + maxStack None slots.
+     * @throws VmError past maxCallDepth, before any state changes.
+     */
+    void pushFrame(Frame &frame, const CodeObject *code,
                    DictObj *name_space);
+    /** Run a pushed frame, then pop it, also when it unwinds. */
+    Value runFrame(Frame &frame);
+    /** Reset the frame's live slots to None; release its window. */
+    void popFrame(Frame &frame);
 
     /** Main bytecode evaluation loop over one frame. */
     Value evalFrame(Frame &frame);
@@ -244,7 +314,11 @@ class Interp
     Value compareOp(Op op, const Value &a, const Value &b);
     Value makeIterator(const Value &iterable);
 
-    CodeRuntime &runtimeFor(const CodeObject *code);
+    CodeRuntime &
+    runtimeFor(const CodeObject *code)
+    {
+        return codeRt[code->codeId];
+    }
     /** Quicken (model-compile) a hot code object. */
     void jitCompile(const CodeObject *code, CodeRuntime &rt);
     /**
@@ -254,8 +328,14 @@ class Interp
      */
     void threadedQuicken(const CodeObject *code, CodeRuntime &rt);
 
-    /** Account one executed bytecode to counters and the observer. */
-    void accountBytecode(Op op, uint32_t uops, bool dispatched);
+    /**
+     * Count one executed bytecode in stats_.
+     * @return its uops, dispatch overhead included.
+     */
+    uint32_t countBytecode(Op op, uint32_t uops, bool dispatched);
+    /** Count one bytecode and deliver it as one observer step. */
+    void accountBytecode(Op op, uint32_t uops, bool dispatched,
+                         uint32_t code_id, size_t pc);
     void emitBranch(const Frame &frame, size_t pc, bool taken);
     void emitMem(uint64_t addr, uint32_t size, bool write);
 
@@ -280,7 +360,12 @@ class Interp
 
     std::string outputBuf;
 
-    std::unordered_map<uint32_t, std::unique_ptr<CodeRuntime>> codeRt;
+    /** Indexed by CodeObject::codeId (dense, Program::codeCount). */
+    std::vector<CodeRuntime> codeRt;
+
+    FrameArena arena;
+    /** Installed handlers of every live frame, innermost last. */
+    std::vector<ExceptHandler> handlers;
 
     /** Values retained for the lifetime of the interp (e.g. consts). */
     std::vector<Value> retained;

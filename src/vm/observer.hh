@@ -31,6 +31,28 @@ class ExecutionObserver
     virtual ~ExecutionObserver() = default;
 
     /**
+     * One bytecode executed: the VM's only per-bytecode call, made
+     * where it accounts the bytecode, after the bytecode's own
+     * branch, memory, allocation and guard events (Call and MakeClass
+     * before the code they run, Raise before it throws). The default
+     * delivers its three parts in order: onCodeFetch(fetch_addr),
+     * onDispatch(op) when `dispatched`, then onBytecode(op, uops). An
+     * observer that needs no per-part virtual call overrides this.
+     *
+     * A bytecode that throws before it is accounted delivers only its
+     * fetch, through onCodeFetch; the handler entry that catches it is
+     * delivered through onBytecode(Op::Raise, ...) alone.
+     */
+    virtual void
+    onStep(Op op, uint32_t uops, uint64_t fetch_addr, bool dispatched)
+    {
+        onCodeFetch(fetch_addr);
+        if (dispatched)
+            onDispatch(op);
+        onBytecode(op, uops);
+    }
+
+    /**
      * One bytecode completed.
      * @param op the (possibly quickened) opcode.
      * @param uops micro-ops this bytecode expanded to, including any
@@ -151,6 +173,14 @@ class MultiplexObserver : public ExecutionObserver
     {
         if (observer)
             sinks.push_back(observer);
+    }
+
+    void
+    onStep(Op op, uint32_t uops, uint64_t fetch_addr,
+           bool dispatched) override
+    {
+        for (auto *s : sinks)
+            s->onStep(op, uops, fetch_addr, dispatched);
     }
 
     void

@@ -306,6 +306,54 @@ TEST(Explain, ReportByteIdenticalAcrossRepeats)
     EXPECT_EQ(m1, m2);
 }
 
+TEST(Explain, SingleInvocationPairsHaveNoInterval)
+{
+    // Two one-invocation entries of one workload, as `run sieve
+    // --invocations 1` at two seeds archives them: the bootstrap sees
+    // only iteration jitter, so the report gives no interval.
+    auto cfgBase = smallConfig(vm::Tier::Interp, "sieve");
+    cfgBase.invocations = 1;
+    auto cfgCand = cfgBase;
+    cfgCand.seed = 9;
+    harness::RunResult rb = harness::runExperiment("sieve", cfgBase);
+    harness::RunResult rc = harness::runExperiment("sieve", cfgCand);
+    auto base = makeEntry(
+        1, "fp-a", {rb}, {profileToJson(buildProfile(rb, cfgBase))});
+    auto cand = makeEntry(
+        2, "fp-a", {rc}, {profileToJson(buildProfile(rc, cfgCand))});
+
+    auto ex = explainEntries(
+        base, cand, compare::compareEntries(base, cand, {}));
+    ASSERT_EQ(ex.pairs.size(), 1u);
+    const PairExplanation &pe = ex.pairs[0];
+    EXPECT_TRUE(pe.hasProfiles);
+    EXPECT_FALSE(pe.hasInterval);
+    EXPECT_EQ(pe.verdict, "inconclusive");
+
+    Json j = reportToJson(ex);
+    const Json &s = j.at("pairs").at(0).at("speedup");
+    EXPECT_TRUE(s.has("estimate"));
+    EXPECT_FALSE(s.has("lower"));
+    EXPECT_FALSE(s.has("upper"));
+    std::string md = renderPair(pe);
+    EXPECT_NE(md.find(harness::kNoInterval), std::string::npos) << md;
+
+    // With two invocations a side, the interval is back.
+    cfgBase.invocations = cfgCand.invocations = 2;
+    rb = harness::runExperiment("sieve", cfgBase);
+    rc = harness::runExperiment("sieve", cfgCand);
+    base = makeEntry(1, "fp-a", {rb});
+    cand = makeEntry(2, "fp-a", {rc});
+    ex = explainEntries(base, cand,
+                        compare::compareEntries(base, cand, {}));
+    ASSERT_EQ(ex.pairs.size(), 1u);
+    EXPECT_TRUE(ex.pairs[0].hasInterval);
+    EXPECT_TRUE(
+        reportToJson(ex).at("pairs").at(0).at("speedup").has("lower"));
+    EXPECT_EQ(renderPair(ex.pairs[0]).find(harness::kNoInterval),
+              std::string::npos);
+}
+
 TEST(Explain, LegacyEntryWithoutProfilesDegradesLoudly)
 {
     auto baseRun = makeFlatRun("sieve", vm::Tier::Interp, 1.0);

@@ -33,10 +33,11 @@ echo "== switch-fallback dispatch build (-DRIGOR_NO_COMPUTED_GOTO) =="
 cmake -B build-nocg -S . \
     -DCMAKE_CXX_FLAGS="-DRIGOR_NO_COMPUTED_GOTO -Werror" >/dev/null
 cmake --build build-nocg -j "$jobs" --target rigorbench rigor_tests
-# The modelled counters and VM semantics are pinned under both forms,
-# and so are the suite, metrics, trace, archive and compare bytes.
+# The modelled counters, VM semantics, frame windows and observer
+# step are pinned under both forms, and so are the suite, metrics,
+# trace, archive and compare bytes.
 ./build-nocg/tests/rigor_tests \
-    --gtest_filter='*GoldenCounters*:*Differential*'
+    --gtest_filter='*GoldenCounters*:*Differential*:VmFrames.*:ObserverStep.*'
 bash tests/artifact_golden_test.sh ./build-nocg/tools/rigorbench
 
 echo "== parallel determinism (--jobs 4 vs --jobs 1, every tier) =="
