@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+
+#include "support/logging.hh"
 
 namespace rigor {
 namespace bench {
@@ -153,10 +154,35 @@ header(const std::string &experiment_id, const std::string &claim)
         "\n" + rule + "\n";
 }
 
-void
-printHeader(const std::string &experiment_id, const std::string &claim)
+harness::RunResult
+prefix(const harness::RunResult &run, size_t invocations, size_t iterations)
 {
-    std::fputs(header(experiment_id, claim).c_str(), stdout);
+    if (!run.failures.empty())
+        panic("prefix: %s/%s holds failed attempts", run.workload.c_str(),
+              vm::tierName(run.tier));
+    if (run.invocations.size() < invocations)
+        panic("prefix: %s/%s has %zu invocations, not %zu",
+              run.workload.c_str(), vm::tierName(run.tier),
+              run.invocations.size(), invocations);
+    harness::RunResult cut;
+    cut.workload = run.workload;
+    cut.tier = run.tier;
+    cut.size = run.size;
+    cut.invocationsAttempted = static_cast<int>(invocations);
+    cut.invocations.assign(run.invocations.begin(),
+                           run.invocations.begin() +
+                               static_cast<ptrdiff_t>(invocations));
+    for (auto &inv : cut.invocations) {
+        if (inv.samples.size() < iterations)
+            panic("prefix: %s/%s has %zu iterations, not %zu",
+                  run.workload.c_str(), vm::tierName(run.tier),
+                  inv.samples.size(), iterations);
+        if (inv.samples.size() > iterations) {
+            inv.samples.resize(iterations);
+            inv.vmStats = vm::InterpStats{};
+        }
+    }
+    return cut;
 }
 
 namespace {

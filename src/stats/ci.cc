@@ -18,12 +18,6 @@ ConfidenceInterval::relativeHalfWidth() const
     return halfWidth() / std::fabs(estimate);
 }
 
-bool
-ConfidenceInterval::overlaps(const ConfidenceInterval &o) const
-{
-    return lower <= o.upper && o.lower <= upper;
-}
-
 ConfidenceInterval
 tInterval(const std::vector<double> &xs, double confidence)
 {

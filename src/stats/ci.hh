@@ -30,8 +30,6 @@ struct ConfidenceInterval
     double relativeHalfWidth() const;
     /** True if the interval contains v. */
     bool contains(double v) const { return v >= lower && v <= upper; }
-    /** True if the two intervals overlap. */
-    bool overlaps(const ConfidenceInterval &o) const;
 };
 
 /**

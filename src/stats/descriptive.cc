@@ -70,42 +70,6 @@ median(const std::vector<double> &xs)
     return percentile(xs, 50.0);
 }
 
-double
-geomean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        panic("geomean: empty sample");
-    double log_sum = 0.0;
-    for (double x : xs) {
-        if (x <= 0.0)
-            panic("geomean: non-positive value %g", x);
-        log_sum += std::log(x);
-    }
-    return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-Summary
-summarize(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        panic("summarize: empty sample");
-    Summary s;
-    s.n = xs.size();
-    s.mean = mean(xs);
-    s.variance = variance(xs);
-    s.stddev = std::sqrt(s.variance);
-    s.sem = s.stddev / std::sqrt(static_cast<double>(s.n));
-    s.min = *std::min_element(xs.begin(), xs.end());
-    s.max = *std::max_element(xs.begin(), xs.end());
-    std::vector<double> sorted = xs;
-    std::sort(sorted.begin(), sorted.end());
-    s.median = sortedPercentile(sorted, 50.0);
-    s.q1 = sortedPercentile(sorted, 25.0);
-    s.q3 = sortedPercentile(sorted, 75.0);
-    s.cov = s.mean != 0.0 ? s.stddev / std::fabs(s.mean) : 0.0;
-    return s;
-}
-
 std::vector<size_t>
 tukeyOutliers(const std::vector<double> &xs, double k)
 {

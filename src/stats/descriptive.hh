@@ -12,25 +12,6 @@
 namespace rigor {
 namespace stats {
 
-/** Summary statistics of a sample. */
-struct Summary
-{
-    size_t n = 0;
-    double mean = 0.0;
-    double variance = 0.0;   ///< unbiased (n-1) sample variance
-    double stddev = 0.0;
-    double sem = 0.0;        ///< standard error of the mean
-    double min = 0.0;
-    double max = 0.0;
-    double median = 0.0;
-    double q1 = 0.0;         ///< 25th percentile
-    double q3 = 0.0;         ///< 75th percentile
-    double cov = 0.0;        ///< coefficient of variation (stddev/mean)
-};
-
-/** Compute summary statistics; panics on an empty sample. */
-Summary summarize(const std::vector<double> &xs);
-
 /** Arithmetic mean; panics on an empty sample. */
 double mean(const std::vector<double> &xs);
 
@@ -54,9 +35,6 @@ double sortedPercentile(const std::vector<double> &sorted, double p);
 
 /** Median (50th percentile). */
 double median(const std::vector<double> &xs);
-
-/** Geometric mean; panics if any value is non-positive. */
-double geomean(const std::vector<double> &xs);
 
 /**
  * Indices of Tukey outliers: values outside [q1 - k*iqr, q3 + k*iqr].

@@ -46,12 +46,6 @@ CsvWriter::field(const std::string &v)
 }
 
 CsvWriter &
-CsvWriter::field(int64_t v)
-{
-    return field(std::to_string(v));
-}
-
-CsvWriter &
 CsvWriter::field(uint64_t v)
 {
     return field(std::to_string(v));

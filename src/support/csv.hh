@@ -27,8 +27,6 @@ class CsvWriter
 
     /** Append one field to the current row. */
     CsvWriter &field(const std::string &v);
-    /** Append an integer field. */
-    CsvWriter &field(int64_t v);
     /** Append an unsigned field. */
     CsvWriter &field(uint64_t v);
     /** Append a double field rendered with full precision. */

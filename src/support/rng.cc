@@ -118,10 +118,4 @@ Rng::nextBernoulli(double p)
     return nextDouble() < p;
 }
 
-Rng
-Rng::split()
-{
-    return Rng(nextU64() ^ 0xa02bdbf7bb3c0a7ULL);
-}
-
 } // namespace rigor

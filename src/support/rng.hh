@@ -103,13 +103,6 @@ class Rng
         }
     }
 
-    /**
-     * Split off an independent child generator. The child stream is a
-     * deterministic function of the parent state, and advancing the child
-     * never perturbs the parent.
-     */
-    Rng split();
-
   private:
     uint64_t s[4];
     double gaussCache;

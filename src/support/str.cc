@@ -58,15 +58,6 @@ trim(std::string_view s)
 }
 
 std::string
-toLower(std::string_view s)
-{
-    std::string out(s);
-    for (auto &c : out)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    return out;
-}
-
-std::string
 padLeft(std::string_view s, size_t width)
 {
     if (s.size() >= width)

@@ -28,9 +28,6 @@ bool endsWith(std::string_view s, std::string_view suffix);
 /** Strip leading and trailing ASCII whitespace. */
 std::string trim(std::string_view s);
 
-/** Lower-case an ASCII string. */
-std::string toLower(std::string_view s);
-
 /** Left-pad with spaces to the given width. */
 std::string padLeft(std::string_view s, size_t width);
 

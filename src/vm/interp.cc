@@ -367,8 +367,7 @@ Interp::call(const Value &callee, const Value *self, Value *argv,
         auto *cls = static_cast<ClassObj *>(o);
         InstanceObj *inst = alloc<InstanceObj>(cls, cfg.hashSeed);
         Value instance = Value::makeObj(inst);
-        Value init_name = makeStr("__init__");
-        if (const Value *init = cls->lookup(init_name)) {
+        if (const Value *init = cls->lookup(initName)) {
             // A copy: __init__ may rebind the class's attributes.
             Value init_fn = *init;
             call(init_fn, &instance, argv, nargs);

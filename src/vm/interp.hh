@@ -369,6 +369,9 @@ class Interp
 
     /** Values retained for the lifetime of the interp (e.g. consts). */
     std::vector<Value> retained;
+
+    /** The "__init__" key every class call looks up, made once. */
+    const Value initName = makeStr("__init__");
 };
 
 /** Install the builtin functions into the given namespace dict. */

@@ -15,7 +15,6 @@
 #include "stats/descriptive.hh"
 #include "stats/distributions.hh"
 #include "stats/hierarchy.hh"
-#include "stats/tests.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 
@@ -52,30 +51,6 @@ TEST(Descriptive, SortedPercentileIsPercentileWithoutTheSort)
     std::sort(sorted.begin(), sorted.end());
     for (double p : {0.0, 2.5, 25.0, 50.0, 75.0, 97.5, 100.0})
         EXPECT_EQ(sortedPercentile(sorted, p), percentile(xs, p)) << p;
-    Summary s = summarize(xs);
-    EXPECT_EQ(s.q1, percentile(xs, 25.0));
-    EXPECT_EQ(s.median, percentile(xs, 50.0));
-    EXPECT_EQ(s.q3, percentile(xs, 75.0));
-}
-
-TEST(Descriptive, Geomean)
-{
-    std::vector<double> xs = {1, 2, 4};
-    EXPECT_NEAR(geomean(xs), 2.0, 1e-12);
-    EXPECT_THROW(geomean({1.0, -2.0}), PanicError);
-}
-
-TEST(Descriptive, SummaryFields)
-{
-    std::vector<double> xs = {10, 12, 14, 16, 18};
-    Summary s = summarize(xs);
-    EXPECT_EQ(s.n, 5u);
-    EXPECT_DOUBLE_EQ(s.mean, 14.0);
-    EXPECT_DOUBLE_EQ(s.min, 10.0);
-    EXPECT_DOUBLE_EQ(s.max, 18.0);
-    EXPECT_DOUBLE_EQ(s.median, 14.0);
-    EXPECT_NEAR(s.cov, s.stddev / 14.0, 1e-12);
-    EXPECT_THROW(summarize({}), PanicError);
 }
 
 TEST(Descriptive, TukeyOutliers)
@@ -186,7 +161,7 @@ TEST(Ci, GeomeanIntervalIsMultiplicative)
 {
     std::vector<double> xs = {1.0, 2.0, 4.0, 8.0};
     auto ci = geomeanInterval(xs, 0.95);
-    EXPECT_NEAR(ci.estimate, geomean(xs), 1e-9);
+    EXPECT_NEAR(ci.estimate, std::pow(2.0, 1.5), 1e-9);
     EXPECT_LT(ci.lower, ci.estimate);
     EXPECT_GT(ci.upper, ci.estimate);
     EXPECT_THROW(geomeanInterval({0.0, 1.0}), PanicError);
@@ -221,11 +196,8 @@ TEST(Ci, RequiredSampleSizeShrinksWithTolerance)
 TEST(Ci, IntervalHelpers)
 {
     ConfidenceInterval a{10.0, 9.0, 11.0, 0.95};
-    ConfidenceInterval b{12.5, 11.5, 13.5, 0.95};
-    ConfidenceInterval c{11.2, 10.5, 12.0, 0.95};
-    EXPECT_FALSE(a.overlaps(b));
-    EXPECT_TRUE(a.overlaps(c));
-    EXPECT_TRUE(c.overlaps(b));
+    EXPECT_TRUE(a.contains(11.0));
+    EXPECT_FALSE(a.contains(11.5));
     EXPECT_NEAR(a.relativeHalfWidth(), 0.1, 1e-12);
 }
 
@@ -271,50 +243,6 @@ TEST(Hierarchy, DegenerateInputsPanic)
     EXPECT_THROW(decomposeVariance({{1.0}, {2.0}}), PanicError);
 }
 
-
-TEST(Tests, WilcoxonSignedRankDetectsPairedShift)
-{
-    Rng rng(41);
-    std::vector<double> a, b;
-    for (int i = 0; i < 25; ++i) {
-        double base = rng.nextLogNormal(0.0, 0.5);
-        a.push_back(base);
-        b.push_back(base * 1.4);  // consistent 40% slowdown
-    }
-    TestResult r = wilcoxonSignedRank(a, b);
-    EXPECT_TRUE(r.significant(0.01));
-    EXPECT_LT(r.statistic, 0.0);
-}
-
-TEST(Tests, WilcoxonSignedRankNullIsCalibrated)
-{
-    Rng rng(42);
-    int rejections = 0;
-    const int trials = 300;
-    for (int t = 0; t < trials; ++t) {
-        std::vector<double> a, b;
-        for (int i = 0; i < 20; ++i) {
-            double base = rng.nextGaussian(10.0, 2.0);
-            a.push_back(base + rng.nextGaussian(0.0, 0.5));
-            b.push_back(base + rng.nextGaussian(0.0, 0.5));
-        }
-        if (wilcoxonSignedRank(a, b).significant(0.05))
-            ++rejections;
-    }
-    EXPECT_LT(rejections, trials / 8);
-}
-
-TEST(Tests, WilcoxonSignedRankEdgeCases)
-{
-    std::vector<double> same = {1, 2, 3, 4, 5};
-    EXPECT_FALSE(wilcoxonSignedRank(same, same).significant(0.5));
-    EXPECT_THROW(wilcoxonSignedRank({1.0}, {1.0, 2.0}), PanicError);
-    EXPECT_THROW(wilcoxonSignedRank({}, {}), PanicError);
-    // One differing pair: too few non-zero diffs to reject.
-    std::vector<double> a = {1, 2, 3};
-    std::vector<double> b = {1, 2, 9};
-    EXPECT_FALSE(wilcoxonSignedRank(a, b).significant(0.05));
-}
 
 /** Parameterized CI coverage across confidence levels. */
 class CoverageSweep : public ::testing::TestWithParam<double>

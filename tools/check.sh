@@ -16,8 +16,8 @@ cmake -B build -S . "$werror" >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
-echo "== suite tables against docs/suite_tables.txt =="
-./build/bench/suite_tables | cmp - docs/suite_tables.txt
+echo "== paper tables against docs/paper_tables.txt =="
+./build/bench/paper | cmp - docs/paper_tables.txt
 
 echo "== sanitizer build (ASan+UBSan) =="
 cmake -B build-asan -S . -DRIGOR_SANITIZE=ON \
