@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <mutex>
+#include <unordered_map>
 
 #include "archive/entry_format.hh"
 #include "harness/report.hh"
@@ -74,29 +77,124 @@ skeletonOf(const CanonicalState &canon)
 }
 
 /**
+ * What a scan remembers of one entry whose main copy verified and
+ * checkPayload() accepted: the file's length, a CRC-32 over all its
+ * bytes, and the summary those bytes gave.
+ */
+struct VerifiedBytes
+{
+    uint64_t length = 0;
+    uint32_t crc = 0;
+    EntrySummary summary;
+};
+
+/** What one scan verified, by entry path. */
+using VerifiedEntries = std::unordered_map<std::string, VerifiedBytes>;
+
+/**
+ * The process-wide scan memo: for each of the kScanMemoDirectories
+ * most recently scanned directories, what its last scan verified.
+ * Process-wide because every query (CLI, daemon, selfbench) builds a
+ * fresh RunArchive. A stored set is never changed, so a scan reads
+ * its snapshot on helper threads without the lock.
+ */
+class ScanMemo
+{
+  public:
+    std::shared_ptr<const VerifiedEntries>
+    lookup(const std::string &dir)
+    {
+        std::lock_guard<std::mutex> guard(mu_);
+        for (const auto &slot : slots_)
+            if (slot.first == dir)
+                return slot.second;
+        return nullptr;
+    }
+
+    /**
+     * Replace `dir`'s slot with `verified` (dropping it when empty),
+     * most recently scanned first; evict the least recently scanned
+     * past the bound.
+     */
+    void
+    store(const std::string &dir,
+          std::shared_ptr<const VerifiedEntries> verified)
+    {
+        std::lock_guard<std::mutex> guard(mu_);
+        auto it = std::find_if(slots_.begin(), slots_.end(),
+                               [&](const auto &slot) {
+                                   return slot.first == dir;
+                               });
+        if (it != slots_.end())
+            slots_.erase(it);
+        if (verified->empty())
+            return;
+        slots_.emplace(slots_.begin(), dir, std::move(verified));
+        if (slots_.size() > kScanMemoDirectories)
+            slots_.pop_back();
+    }
+
+  private:
+    std::mutex mu_;
+    std::vector<
+        std::pair<std::string, std::shared_ptr<const VerifiedEntries>>>
+        slots_;
+};
+
+ScanMemo &
+scanMemo()
+{
+    static ScanMemo memo;
+    return memo;
+}
+
+/**
  * What scan()'s parallel step found out about one entry file: the
  * payload of its main copy (a skeleton when the bytes are canonical)
- * and checkPayload()'s verdict, when the main copy verified.
+ * and checkPayload()'s verdict, when the main copy verified; or the
+ * summary the memo holds for the same bytes.
  */
 struct ScannedEntry
 {
-    /** False: the commit loop falls back to the backup. */
+    /**
+     * False, with nothing remembered: the commit loop falls back to
+     * the backup.
+     */
     bool verified = false;
     Json payload;
     PayloadState state = PayloadState::Bad;
     std::string why;
+    /** Length and whole-file CRC-32 of the main copy's bytes. */
+    uint64_t length = 0;
+    uint32_t crc = 0;
+    /** The memo's summary of these bytes, when it holds them. */
+    const EntrySummary *remembered = nullptr;
 };
 
 /**
- * Verify the main copy of one entry. No fsOps(), no log call: it runs
- * on parallelFor helpers.
+ * Verify the main copy of one entry: bytes an earlier scan verified
+ * (same length, same CRC-32 over the whole file) reuse its summary;
+ * any other bytes take the full check. No fsOps(), no log call: it
+ * runs on parallelFor helpers.
  */
 void
-verifyMainCopy(const std::string &path, ScannedEntry &out)
+verifyMainCopy(const std::string &path, const VerifiedEntries *memo,
+               ScannedEntry &out)
 {
     std::string text;
-    if (!readFile(path, text) ||
-        !verifyEntryText(text, &out.payload, nullptr))
+    if (!readFile(path, text))
+        return;
+    out.length = text.size();
+    out.crc = crc32(text);
+    if (memo) {
+        auto hit = memo->find(path);
+        if (hit != memo->end() && hit->second.length == out.length &&
+            hit->second.crc == out.crc) {
+            out.remembered = &hit->second.summary;
+            return;
+        }
+    }
+    if (!verifyEntryText(text, &out.payload, nullptr))
         return;
     out.state = checkPayload(out.payload, &out.why);
     out.verified = true;
@@ -339,9 +437,18 @@ RunArchive::scan() const
     // falls back to backups, takes the lock and quarantines in id
     // order, exactly as a serial scan would.
     std::vector<ScannedEntry> scanned(files.size());
+    std::shared_ptr<const VerifiedEntries> memo =
+        scanMemo().lookup(dir_);
     parallelFor(files.size(), [&](size_t k) {
-        verifyMainCopy(files[k].second, scanned[k]);
+        verifyMainCopy(files[k].second, memo.get(), scanned[k]);
     });
+    // What this scan verified: the memo's next slot for dir_.
+    auto verified = std::make_shared<VerifiedEntries>();
+    auto remember = [&](const std::string &path,
+                        const ScannedEntry &entry) {
+        verified->emplace(path, VerifiedBytes{entry.length, entry.crc,
+                                              out.entries.back()});
+    };
 
     // The lock is taken lazily, only if something needs
     // quarantining: clean archives — the overwhelmingly common case —
@@ -353,6 +460,12 @@ RunArchive::scan() const
         const auto &[id, path] = files[k];
         ScannedEntry &entry = scanned[k];
         try {
+            if (entry.remembered) {
+                out.entries.push_back(*entry.remembered);
+                ++out.confirmedByFileCrc;
+                remember(path, entry);
+                continue;
+            }
             if (!entry.verified) {
                 // loadStateFile tries the backup and words the error.
                 StateLoad load = loadStateFile(path);
@@ -377,6 +490,11 @@ RunArchive::scan() const
                 fatal("%s: %s", path.c_str(), entry.why.c_str());
             out.entries.push_back(
                 summaryFromPayload(entry.payload, id, path));
+            // Remember bytes that passed on their own, not a backup's
+            // (and not a file that changed size after it was read).
+            if (entry.verified &&
+                out.entries.back().sizeBytes == entry.length)
+                remember(path, entry);
         } catch (const FatalError &e) {
             // Both the file and its backup are unusable (or its
             // schema is foreign): quarantine instead of aborting the
@@ -408,6 +526,7 @@ RunArchive::scan() const
             }
         }
     }
+    scanMemo().store(dir_, std::move(verified));
     return out;
 }
 

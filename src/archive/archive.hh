@@ -89,7 +89,20 @@ struct ScanResult
      * even when this scan quarantined nothing new.
      */
     int quarantinedPresent = 0;
+    /**
+     * Entries whose bytes this scan confirmed with one CRC-32 over
+     * the whole file, against bytes an earlier scan in this process
+     * verified in full (see scan()). Observability for tests; no
+     * output or artifact carries it.
+     */
+    int confirmedByFileCrc = 0;
 };
+
+/**
+ * How many archive directories scan() remembers verified entries for;
+ * the least recently scanned directory is forgotten first.
+ */
+constexpr size_t kScanMemoDirectories = 8;
 
 /** How an entry payload relates to this build's archive-entry schema. */
 enum class PayloadState
@@ -161,6 +174,15 @@ class RunArchive
      * `.bak` fallback) are quarantined with a warning instead of
      * aborting; entries whose inner schema is from a future build are
      * skipped with a warning but left in place.
+     *
+     * Every entry file is read and checked against a CRC-32 on every
+     * scan. An entry whose main copy verified in full is remembered
+     * process-wide (its length, a CRC-32 over the whole file and its
+     * summary, for the kScanMemoDirectories most recently scanned
+     * directories); a later scan that reads the same length and
+     * whole-file CRC reuses the summary instead of verifying the
+     * envelope again. Any other bytes take the full path. load() and
+     * fsckArchive() never use the memo.
      */
     ScanResult scan() const;
 

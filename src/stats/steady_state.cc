@@ -9,18 +9,6 @@
 namespace rigor {
 namespace stats {
 
-std::string
-seriesClassName(SeriesClass c)
-{
-    switch (c) {
-      case SeriesClass::Flat: return "flat";
-      case SeriesClass::Warmup: return "warmup";
-      case SeriesClass::Slowdown: return "slowdown";
-      case SeriesClass::NoSteadyState: return "no-steady-state";
-    }
-    return "?";
-}
-
 namespace {
 
 /** Prefix sums enabling O(1) segment sum-of-squared-error queries. */

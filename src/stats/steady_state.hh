@@ -17,7 +17,6 @@
 #define RIGOR_STATS_STEADY_STATE_HH
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace rigor {
@@ -31,9 +30,6 @@ enum class SeriesClass
     Slowdown,       ///< gets *slower* over time (pathological)
     NoSteadyState,  ///< oscillates between levels; no stable segment
 };
-
-/** Human-readable name of a SeriesClass. */
-std::string seriesClassName(SeriesClass c);
 
 /** One segment of a piecewise-constant fit. */
 struct Segment

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -480,14 +481,29 @@ TEST(Archive, ScanSummariesEqualLoadSummaries)
     Json noProfiles = envelope.at("payload");
     noProfiles.set("profiles", Json::array());
     writeStateFile(scratch.path("entry-000006.json"), noProfiles);
+    // Damage an earlier scan set aside, which every scan counts.
+    atomicWriteFile(scratch.path("entry-000007.json.quarantine"), "x");
 
     ScanResult scan = ar.scan();
     ASSERT_EQ(scan.entries.size(), 6u);
     EXPECT_TRUE(scan.quarantined.empty());
+    EXPECT_EQ(scan.quarantinedPresent, 1);
+    EXPECT_EQ(scan.confirmedByFileCrc, 0);
     for (const auto &s : scan.entries) {
         SCOPED_TRACE(s.path);
         expectSameSummary(s, ar.load(s).summary);
     }
+    // A warm scan confirms every entry with its whole-file CRC and
+    // gives the cold scan's result, field for field.
+    ScanResult warm = ar.scan();
+    EXPECT_EQ(warm.confirmedByFileCrc, 6);
+    ASSERT_EQ(warm.entries.size(), scan.entries.size());
+    for (size_t i = 0; i < warm.entries.size(); ++i) {
+        SCOPED_TRACE(warm.entries[i].path);
+        expectSameSummary(warm.entries[i], scan.entries[i]);
+    }
+    EXPECT_EQ(warm.quarantined, scan.quarantined);
+    EXPECT_EQ(warm.quarantinedPresent, scan.quarantinedPresent);
     EXPECT_EQ(scan.entries[0].label, "say \"hi\" \\ [x]");
     EXPECT_EQ(scan.entries[0].runCount, 3);
     EXPECT_EQ(scan.entries[0].profileCount, 2);
@@ -762,6 +778,226 @@ TEST(Archive, ParallelFsckCommitsInIdOrderEveryTime)
         EXPECT_EQ(text, firstText);
         EXPECT_EQ(listNames(dir), firstNames);
     }
+}
+
+/** Overwrite one byte of `path` in place, keeping its mtime. */
+void
+flipByteKeepingMtime(const std::string &path, size_t at, char byte)
+{
+    auto mtime = std::filesystem::last_write_time(path);
+    {
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        f.seekp(static_cast<std::streamoff>(at));
+        f.put(byte);
+    }
+    std::filesystem::last_write_time(path, mtime);
+}
+
+/** Byte offset of the first `needle` in `path`'s bytes. */
+size_t
+offsetOf(const std::string &path, const std::string &needle)
+{
+    std::string text;
+    EXPECT_TRUE(readFile(path, text));
+    size_t at = text.find(needle);
+    EXPECT_NE(at, std::string::npos) << needle;
+    return at;
+}
+
+/** A scan and every warning it logged. */
+struct LoggedScan
+{
+    ScanResult result;
+    std::vector<std::string> log;
+};
+
+LoggedScan
+scanLogged(const RunArchive &ar)
+{
+    LogCapture capture;
+    LoggedScan out;
+    out.result = ar.scan();
+    out.log = capture.lines;
+    return out;
+}
+
+// The memo is keyed on the bytes, not on size or mtime: a bit flip
+// that keeps both is quarantined after a warm scan exactly as a cold
+// scan quarantines it.
+TEST(Archive, WarmScanQuarantinesAFlipThatKeepsSizeAndMtime)
+{
+    ScratchDir scratch;
+    RunArchive ar(scratch.dir());
+    ar.append(makeConfig(1), "good", "run", {makeRun("sieve", 1.0)});
+    ar.append(makeConfig(2), "fine", "run", {makeRun("sieve", 2.0)});
+    std::string p = scratch.path("entry-000002.json");
+    std::string pristine;
+    ASSERT_TRUE(readFile(p, pristine));
+    size_t at = offsetOf(p, "\"fine\"") + 1;
+
+    // Cold: the first scan of this directory meets the damage.
+    flipByteKeepingMtime(p, at, 'x');
+    LoggedScan cold = scanLogged(ar);
+    EXPECT_EQ(cold.result.confirmedByFileCrc, 0);
+    ASSERT_EQ(cold.result.quarantined.size(), 1u);
+    ASSERT_EQ(cold.log.size(), 1u);
+    EXPECT_NE(cold.log[0].find("quarantined as"), std::string::npos)
+        << cold.log[0];
+
+    // Put the healthy bytes back, and warm the memo with them.
+    ASSERT_EQ(std::remove(cold.result.quarantined[0].c_str()), 0);
+    atomicWriteFile(p, pristine);
+    ar.scan();
+    ScanResult warmClean = ar.scan();
+    EXPECT_EQ(warmClean.confirmedByFileCrc, 2);
+    ASSERT_EQ(warmClean.entries.size(), 2u);
+
+    // Warm: the same flip, size and mtime kept.
+    auto size = std::filesystem::file_size(p);
+    auto mtime = std::filesystem::last_write_time(p);
+    flipByteKeepingMtime(p, at, 'x');
+    ASSERT_EQ(std::filesystem::file_size(p), size);
+    ASSERT_EQ(std::filesystem::last_write_time(p), mtime);
+    LoggedScan warm = scanLogged(ar);
+    EXPECT_EQ(warm.result.confirmedByFileCrc, 1);
+    EXPECT_EQ(warm.log, cold.log);
+    EXPECT_EQ(warm.result.quarantined, cold.result.quarantined);
+    EXPECT_EQ(warm.result.quarantinedPresent,
+              cold.result.quarantinedPresent);
+    ASSERT_EQ(warm.result.entries.size(), 1u);
+    EXPECT_EQ(warm.result.entries[0].label, "good");
+    EXPECT_FALSE(std::filesystem::exists(p));
+}
+
+// A different valid entry of the same length at the same path is
+// verified in full and listed, not mistaken for the remembered one.
+TEST(Archive, WarmScanListsASameLengthReplacement)
+{
+    ScratchDir scratch;
+    RunArchive ar(scratch.dir());
+    ar.append(makeConfig(1), "aaaa", "run", {makeRun("sieve", 1.0)});
+    std::string p = scratch.path("entry-000001.json");
+    ar.scan();
+    EXPECT_EQ(ar.scan().confirmedByFileCrc, 1);
+
+    // The relabelled entry, written elsewhere and copied over in
+    // place with the old mtime.
+    std::string text;
+    ASSERT_TRUE(readFile(p, text));
+    Json payload = Json::parse(text).at("payload");
+    payload.set("label", "bbbb");
+    std::string other = scratch.path("relabelled.json");
+    writeStateFile(other, payload);
+    std::string replacement;
+    ASSERT_TRUE(readFile(other, replacement));
+    ASSERT_EQ(replacement.size(), text.size());
+    ASSERT_NE(replacement, text);
+    auto mtime = std::filesystem::last_write_time(p);
+    {
+        std::fstream f(p, std::ios::in | std::ios::out |
+                              std::ios::binary);
+        f.write(replacement.data(),
+                static_cast<std::streamsize>(replacement.size()));
+    }
+    std::filesystem::last_write_time(p, mtime);
+
+    ScanResult scan = ar.scan();
+    EXPECT_EQ(scan.confirmedByFileCrc, 0);
+    EXPECT_TRUE(scan.quarantined.empty());
+    ASSERT_EQ(scan.entries.size(), 1u);
+    EXPECT_EQ(scan.entries[0].label, "bbbb");
+    ScanResult again = ar.scan();
+    EXPECT_EQ(again.confirmedByFileCrc, 1);
+    ASSERT_EQ(again.entries.size(), 1u);
+    EXPECT_EQ(again.entries[0].label, "bbbb");
+}
+
+std::vector<int>
+idsOf(const ScanResult &scan)
+{
+    std::vector<int> ids;
+    for (const auto &e : scan.entries)
+        ids.push_back(e.id);
+    return ids;
+}
+
+// Each scan replaces its directory's slot with what it verified, and
+// only the kScanMemoDirectories most recently scanned directories
+// keep one: pruned, vanished and evicted entries are never served.
+TEST(Archive, ScanMemoServesNoStaleEntry)
+{
+    ScratchDir scratch;
+    std::string dir = scratch.path("archive");
+    RunArchive ar(dir);
+    for (int i = 0; i < 4; ++i)
+        ar.append(makeConfig(i), "", "run", {makeRun("sieve", 1.0)});
+    EXPECT_EQ(ar.scan().confirmedByFileCrc, 0);
+    EXPECT_EQ(ar.scan().confirmedByFileCrc, 4);
+
+    EXPECT_EQ(ar.prune(2), 2);
+    ScanResult pruned = ar.scan();
+    EXPECT_EQ(idsOf(pruned), (std::vector<int>{3, 4}));
+    EXPECT_EQ(pruned.confirmedByFileCrc, 2);
+
+    ar.append(makeConfig(9), "", "run", {makeRun("sieve", 1.0)});
+    ASSERT_EQ(std::remove((dir + "/" + entryFileName(4)).c_str()), 0);
+    ScanResult vanished = ar.scan();
+    EXPECT_EQ(idsOf(vanished), (std::vector<int>{3, 5}));
+    EXPECT_EQ(vanished.confirmedByFileCrc, 1);
+    EXPECT_EQ(ar.scan().confirmedByFileCrc, 2);
+
+    // Scanning as many other archives as the memo holds forgets this
+    // one: the next scan is cold again, and lists the same.
+    for (size_t i = 0; i < kScanMemoDirectories; ++i) {
+        RunArchive other(scratch.path(strprintf("other%zu", i)));
+        other.append(makeConfig(1), "", "run", {makeRun("sieve", 1.0)});
+        ScanResult scan = other.scan();
+        ASSERT_EQ(scan.entries.size(), 1u);
+    }
+    ScanResult evicted = ar.scan();
+    EXPECT_EQ(evicted.confirmedByFileCrc, 0);
+    EXPECT_EQ(idsOf(evicted), (std::vector<int>{3, 5}));
+    EXPECT_EQ(ar.scan().confirmedByFileCrc, 2);
+}
+
+// Scans of one directory from several threads share one memo slot;
+// each must list what a scan alone lists.
+TEST(Archive, ConcurrentScansOfOneDirectoryAgree)
+{
+    ScratchDir scratch;
+    RunArchive ar(scratch.dir());
+    for (int i = 0; i < 6; ++i)
+        ar.append(makeConfig(i), strprintf("e%d", i), "run",
+                  {makeRun("sieve", 1.0 + i)});
+    auto render = [](const ScanResult &scan) {
+        std::string text;
+        for (const auto &e : scan.entries)
+            text += strprintf("%d %s %s %s %d %d %llu\n", e.id,
+                              e.path.c_str(), e.label.c_str(),
+                              e.fingerprint.c_str(), e.runCount,
+                              e.profileCount,
+                              static_cast<unsigned long long>(
+                                  e.sizeBytes));
+        return text;
+    };
+    std::string expected = render(ar.scan());
+
+    constexpr int kThreads = 4;
+    constexpr int kScans = 10;
+    std::vector<std::vector<std::string>> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kScans; ++i)
+                seen[t].push_back(render(RunArchive(ar.dir()).scan()));
+        });
+    for (auto &t : threads)
+        t.join();
+    for (int t = 0; t < kThreads; ++t)
+        for (int i = 0; i < kScans; ++i)
+            EXPECT_EQ(seen[t][i], expected)
+                << "thread " << t << " scan " << i;
 }
 
 } // namespace

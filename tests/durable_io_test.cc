@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -88,17 +89,41 @@ crc32Bytewise(const unsigned char *p, size_t n)
     return c ^ 0xFFFFFFFFu;
 }
 
+// crc32() folds inputs of 64 bytes and more with carry-less multiply
+// where the CPU has it; crc32SlicingBy8() is the table kernel alone.
+// Both must equal the textbook loop at every length, alignment and
+// tail, so neither can hide a bug behind the other.
 TEST(Crc32, MatchesBytewiseAtEveryLengthAndAlignment)
 {
-    alignas(8) unsigned char buf[8 + 257];
+    constexpr size_t kMaxLen = 4096;
+    constexpr size_t kAligns = 16;
+    std::vector<unsigned char> buf(kAligns + (size_t{64} << 10));
     Rng rng(0xc3c3ULL);
     for (auto &b : buf)
         b = static_cast<unsigned char>(rng.nextBounded(256));
-    for (size_t align = 0; align < 8; ++align)
-        for (size_t len = 0; len <= 257; ++len)
-            ASSERT_EQ(crc32(buf + align, len),
-                      crc32Bytewise(buf + align, len))
-                << "align " << align << " len " << len;
+    auto check = [&](size_t align, size_t len, uint32_t want) {
+        const unsigned char *p = buf.data() + align;
+        ASSERT_EQ(crc32(p, len), want)
+            << "align " << align << " len " << len;
+        ASSERT_EQ(crc32SlicingBy8(p, len), want)
+            << "align " << align << " len " << len;
+    };
+    for (size_t align = 0; align < kAligns; ++align) {
+        // The textbook loop, extended one byte per length.
+        uint32_t state = 0xFFFFFFFFu;
+        for (size_t len = 0; len <= kMaxLen; ++len) {
+            check(align, len, state ^ 0xFFFFFFFFu);
+            state ^= buf[align + len];
+            for (int k = 0; k < 8; ++k)
+                state = (state & 1) ? 0xEDB88320u ^ (state >> 1)
+                                    : state >> 1;
+        }
+    }
+    for (int i = 0; i < 200; ++i) {
+        size_t align = rng.nextBounded(kAligns);
+        size_t len = rng.nextBounded(buf.size() - kAligns + 1);
+        check(align, len, crc32Bytewise(buf.data() + align, len));
+    }
 }
 
 TEST(ReadFile, EmptyFile)

@@ -9,7 +9,9 @@
 # overlapping suites that both come back byte-identical to the
 # one-shot reference; an
 # archive query (compare) is answered over the socket while jobs are
-# in flight; admission control rejects io:* fault injection with the
+# in flight, and after a byte of an entry flips (size and mtime kept)
+# the next one quarantines it and fails as the one-shot CLI does;
+# admission control rejects io:* fault injection with the
 # documented exit code; and a SIGTERM drain (exit 3) followed by
 # `serve --resume` completes the interrupted job with the same report
 # an uninterrupted run produces.
@@ -168,6 +170,45 @@ job_b=$(echo "$out_b" | sed -n 's/^submitted job #//p')
     fail "compare over the socket failed (rc=$?)"
 grep -q "queens" "$WORK/compare.txt" ||
     fail "remote compare output names no workload"
+
+# A warm daemon never accepts bytes a cold scan rejects. Flip one byte
+# of entry 2 in place, size and mtime kept: the next remote compare
+# must quarantine it and fail exactly as the one-shot CLI does on the
+# same bytes in the same directory.
+E2="$WORK/dmn/archive/entry-000002.json"
+cp -p "$E2" "$WORK/entry2.good"
+off=$(grep -bo '"smoke"' "$E2" | head -n 1 | cut -d: -f1)
+[ -n "$off" ] || fail "entry 2 holds no label to flip"
+printf x | dd of="$E2" bs=1 seek=$((off + 1)) conv=notrunc 2>/dev/null
+touch -r "$WORK/entry2.good" "$E2"
+! cmp -s "$E2" "$WORK/entry2.good" &&
+    [ "$(wc -c <"$E2")" -eq "$(wc -c <"$WORK/entry2.good")" ] &&
+    [ ! "$E2" -nt "$WORK/entry2.good" ] &&
+    [ ! "$E2" -ot "$WORK/entry2.good" ] ||
+    fail "the flip did not keep entry 2's size and mtime"
+"$BIN" compare 1 2 --archive "$WORK/dmn/archive" --socket "$SOCK" \
+    >"$WORK/damaged-remote.txt" 2>&1
+rc_remote=$?
+[ -e "$E2.quarantine" ] && [ ! -e "$E2" ] ||
+    fail "remote compare did not quarantine the flipped entry 2"
+mv "$E2.quarantine" "$E2"
+"$BIN" compare 1 2 --archive "$WORK/dmn/archive" \
+    >"$WORK/damaged-one.out" 2>"$WORK/damaged-one.err"
+rc_one=$?
+[ -e "$E2.quarantine" ] && [ ! -e "$E2" ] ||
+    fail "one-shot compare did not quarantine the flipped entry 2"
+[ "$rc_one" -ne 0 ] && [ "$rc_remote" -eq "$rc_one" ] ||
+    fail "compare of a flipped entry exited $rc_remote remote," \
+        "$rc_one one-shot"
+verdict=$(sed -n 's/^error: //p' "$WORK/damaged-one.err")
+warning=$(grep 'quarantined as' "$WORK/damaged-one.err")
+[ -n "$verdict" ] && [ -n "$warning" ] &&
+    grep -qF "$verdict" "$WORK/damaged-remote.txt" &&
+    grep -qxF "$warning" "$WORK/daemon.err" ||
+    fail "remote compare of a flipped entry failed unlike the one-shot"
+mv "$WORK/entry2.good" "$E2"
+rm -f "$E2.quarantine"
+echo "ok: a warm daemon quarantines a flipped entry as the CLI does"
 
 # Admission control: io:* faults are rejected with exit 8.
 "$BIN" submit run queens --inject io:enospc --socket "$SOCK" \

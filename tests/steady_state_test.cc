@@ -142,15 +142,6 @@ TEST(Segmentation, PenaltySuppressesSpuriousSplits)
     EXPECT_LE(segs.size(), 2u);
 }
 
-TEST(SteadyState, ClassNames)
-{
-    EXPECT_EQ(seriesClassName(SeriesClass::Flat), "flat");
-    EXPECT_EQ(seriesClassName(SeriesClass::Warmup), "warmup");
-    EXPECT_EQ(seriesClassName(SeriesClass::Slowdown), "slowdown");
-    EXPECT_EQ(seriesClassName(SeriesClass::NoSteadyState),
-              "no-steady-state");
-}
-
 /** Property sweep: detector finds planted changepoints within +-3. */
 class PlantedChangepoint
     : public ::testing::TestWithParam<std::tuple<int, double>>
